@@ -8,8 +8,8 @@ is a semidefinite certificate checked here in exact rational arithmetic;
 the upper bound is the explicit construction in `extremal`.
 """
 
-from .exact import (SymMatrix, LdlFactorization, PsdVerdict, ldl_factor,
-                    psd_check, parse_rational, format_rational,
+from .exact import (SymMatrix, LdlFactorization, PsdVerdict, WitnessError,
+                    ldl_factor, psd_check, parse_rational, format_rational,
                     rational_reconstruct, DEFAULT_MAX_DEN)
 from .graphs import (ColouredGraph, SizeLimitError, canonical_form,
                      canonical_key, is_isomorphic, enumerate_models,

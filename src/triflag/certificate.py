@@ -20,13 +20,13 @@ used anywhere.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
-from itertools import product
 
 from .exact import SymMatrix, format_rational, parse_rational, psd_check
-from .flags import Flag, TypeSigma, flag_from_vector, triangle_pair_counts
+from .flags import TypeSigma, flag_from_vector, triangle_pair_counts
 from .graphs import (ColouredGraph, bad_family, canonical_key,
                      enumerate_models, mono_triangles,
                      subgraph_class_counts)
@@ -67,11 +67,6 @@ class CoefficientTable:
 
     def entry(self, r: int, key: bytes, i: int, j: int) -> Fraction:
         return Fraction(self.counts[r][key].get((i, j), 0), 120)
-
-    def matrix(self, r: int, key: bytes) -> SymMatrix:
-        rows = [[self.entry(r, key, i, j) for j in range(NUM_FLAGS)]
-                for i in range(NUM_FLAGS)]
-        return SymMatrix(rows)
 
 
 @dataclass
@@ -170,6 +165,10 @@ def load_certificate(text: str) -> Certificate:
                         "block %d: Q not symmetric at (%d, %d)" % (r, j + 1, i + 1))
         blocks.append(CertificateBlock(sigma, tuple(vectors), flags,
                                        SymMatrix(qrows)))
+    for extra in range(pos, len(lines)):
+        if lines[extra].strip():
+            raise CertificateError(
+                "line %d: unexpected text after block 10" % (extra + 1))
     types_seen = {canonical_key(b.type_sigma) for b in blocks}
     if len(types_seen) != 10:
         raise CertificateError("the ten types are not pairwise non-isomorphic")
@@ -199,65 +198,65 @@ def load_shipped_certificate() -> Certificate:
     return load_certificate(shipped_certificate_text())
 
 
-def _block_coefficients(block: CertificateBlock, chunk):
-    index = {vec: i for i, vec in enumerate(block.vectors)}
-    block_counts = {}
-    block_valid = {}
-    for M, key in chunk:
-        pair_counts, valid = triangle_pair_counts(block.type_sigma, M)
-        entry: dict = {}
-        for (v1, v2), c in pair_counts.items():
-            entry[index[v1], index[v2]] = c
-        block_counts[key] = entry
-        block_valid[key] = valid
-    return block_counts, block_valid
+class ModelData:
+    """What verification needs about the 792 five-vertex models that does
+    not depend on a certificate: the canonical keys in enumeration order,
+    `mono` (key -> monochromatic-triangle total) and `bad` (key -> the
+    bad-family keys the model contains, in bad_family() order).  Pair
+    counts are added per labelled type on first request."""
+
+    def __init__(self):
+        self.models = enumerate_models(5, 3)
+        self.keys = tuple(bytes(M.entries) for M in self.models)
+        bad_keys = [canonical_key(H) for H in bad_family()]
+        self.mono = {}
+        self.bad = {}
+        for M, key in zip(self.models, self.keys):
+            self.mono[key] = mono_triangles(M)["total"]
+            four_counts = subgraph_class_counts(M, 4)
+            self.bad[key] = tuple(hk for hk in bad_keys
+                                  if four_counts.get(hk, 0) > 0)
+        self._pairs = {}
+
+    def pair_counts(self, sigma: TypeSigma) -> list:
+        """triangle_pair_counts(sigma, M) for every model, in key order."""
+        if sigma not in self._pairs:
+            self._pairs[sigma] = [triangle_pair_counts(sigma, M)
+                                  for M in self.models]
+        return self._pairs[sigma]
 
 
-def coefficient_table(cert: Certificate, models=None,
-                      threads: int = 1) -> CoefficientTable:
-    """Exact product-coefficient table over all 5-vertex models.
+# one instance per process, built on first use
+model_data = cache(ModelData)
 
-    Deterministic for every thread count; the per-(block, model) chunks are
-    independent and their results are keyed, so evaluation order cannot
-    affect the result.
-    """
-    if models is None:
-        models = enumerate_models(5, 3)
-    model_keys = tuple(bytes(M.entries) for M in models)
-    pairs = list(zip(models, model_keys))
+
+def coefficient_table(cert: Certificate) -> CoefficientTable:
+    """Exact product-coefficient table over all 5-vertex models: the cached
+    pair counts of each block's type, re-indexed into the block's flag
+    order."""
+    data = model_data()
     counts = []
     valids = []
-    if threads > 1 and len(pairs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        step = (len(pairs) + threads - 1) // threads
-        chunks = [pairs[i:i + step] for i in range(0, len(pairs), step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for block in cert.blocks:
-                block_counts = {}
-                block_valid = {}
-                for bc, bv in pool.map(
-                        lambda ch, b=block: _block_coefficients(b, ch),
-                        chunks):
-                    block_counts.update(bc)
-                    block_valid.update(bv)
-                counts.append(block_counts)
-                valids.append(block_valid)
-    else:
-        for block in cert.blocks:
-            block_counts, block_valid = _block_coefficients(block, pairs)
-            counts.append(block_counts)
-            valids.append(block_valid)
-    return CoefficientTable(model_keys, counts, valids)
+    for block in cert.blocks:
+        index = {vec: i for i, vec in enumerate(block.vectors)}
+        block_counts = {}
+        block_valid = {}
+        for key, (pair_counts, valid) in zip(
+                data.keys, data.pair_counts(block.type_sigma)):
+            block_counts[key] = {(index[v1], index[v2]): c
+                                 for (v1, v2), c in pair_counts.items()}
+            block_valid[key] = valid
+        counts.append(block_counts)
+        valids.append(block_valid)
+    return CoefficientTable(data.keys, counts, valids)
 
 
 def lambda_vector(cert: Certificate, table: CoefficientTable) -> dict:
     """lambda_k for every model, exactly."""
-    models = {bytes(M.entries): M for M in enumerate_models(5, 3)}
+    mono = model_data().mono
     out = {}
     for key in table.model_keys:
-        M = models[key]
-        tri = mono_triangles(M)
-        lam = Fraction(tri["total"], 10) - cert.bound
+        lam = Fraction(mono[key], 10) - cert.bound
         for r, block in enumerate(cert.blocks):
             q = block.Q.rows
             total = 0
@@ -285,15 +284,9 @@ def verify(cert: Certificate, table: CoefficientTable | None = None) -> Verifica
     negative = sorted(key for key, lam in lambdas.items() if lam < 0)
     min_lambda = min(lambdas.values()) if lambdas else None
 
-    violations = []
-    models = enumerate_models(5, 3)
-    bad_keys = [canonical_key(H) for H in bad_family()]
-    for M in models:
-        key = bytes(M.entries)
-        four_counts = subgraph_class_counts(M, 4)
-        for hk in bad_keys:
-            if four_counts.get(hk, 0) > 0 and lambdas[key] <= 0:
-                violations.append((hk, key, lambdas[key]))
+    data = model_data()
+    violations = [(hk, key, lambdas[key]) for key in data.keys
+                  if lambdas[key] <= 0 for hk in data.bad[key]]
     verified = all(psd_ok) and not negative and not violations
     return VerificationReport(
         psd_ok=psd_ok,

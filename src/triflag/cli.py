@@ -16,7 +16,7 @@ from importlib import metadata
 from . import certificate as cert_mod
 from . import sdp as sdp_mod
 from .exact import format_rational
-from .graphs import (SizeLimitError, canonical_key, corollary_value,
+from .graphs import (SizeLimitError, corollary_value,
                      count_models_polya, enumerate_models, format_graph,
                      goodman, mono_triangles, parse_graph)
 
@@ -80,7 +80,7 @@ def cmd_verify(args) -> int:
             cert = cert_mod.load_certificate(fh.read())
     else:
         cert = cert_mod.load_shipped_certificate()
-    table = cert_mod.coefficient_table(cert, threads=args.threads)
+    table = cert_mod.coefficient_table(cert)
     report = cert_mod.verify(cert, table)
     lines = _stamp(inputs)
     if not args.cert:
@@ -166,7 +166,7 @@ def cmd_sdp_export(args) -> int:
             cert = cert_mod.load_certificate(fh.read())
     else:
         cert = cert_mod.load_shipped_certificate()
-    table = cert_mod.coefficient_table(cert, threads=args.threads)
+    table = cert_mod.coefficient_table(cert)
     sdp_mod.export_sdp(table, args.out)
     print("wrote %s (m=%d blocks=%d)"
           % (args.out, sdp_mod.NUM_MODELS, sdp_mod.NUM_BLOCKS))
@@ -184,7 +184,7 @@ def cmd_sdp_round(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(cert_mod.serialize_certificate(cert))
-    table = cert_mod.coefficient_table(cert, threads=args.threads)
+    table = cert_mod.coefficient_table(cert)
     report = cert_mod.verify(cert, table)
     lines = _stamp([args.solution])
     lines.append("max_den=%d bound=%s" % (args.max_den,
@@ -201,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "density 1/25 in 3-coloured complete graphs.")
     p.add_argument("--version", action="version",
                    version="triflag " + _version())
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for any randomized check (reproducibility)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("enumerate",
@@ -215,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="verify a certificate exactly")
     sp.add_argument("--cert", help="certificate path (default: shipped)")
     sp.add_argument("--out", help="write the report here")
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("extremal", help="build the blow-up construction")
@@ -246,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sdp-export", help="write the sparse SDP problem")
     sp.add_argument("--out", required=True)
     sp.add_argument("--cert", help="certificate giving the block layout")
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_sdp_export)
 
     sp = sub.add_parser("sdp-round",
@@ -255,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-den", type=int, default=4 * 10**6)
     sp.add_argument("--cert", help="template certificate for the layout")
     sp.add_argument("--out", help="write the rounded certificate here")
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_sdp_round)
     return p
 

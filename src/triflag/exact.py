@@ -18,14 +18,23 @@ from typing import Sequence
 DEFAULT_MAX_DEN = 10**7
 
 
+class WitnessError(ArithmeticError):
+    """A NotPSD witness v failed its re-check v^T M v < 0: an internal
+    fault, never a verdict."""
+
+
 def parse_rational(token: str) -> Fraction:
-    """Parse "p/q" or "p" (ASCII, no internal whitespace) into a Fraction."""
+    """Parse "p/q" or "p" (ASCII, no internal whitespace, q > 0) into a
+    Fraction."""
     token = token.strip()
     if any(ch.isspace() for ch in token):
         raise ValueError("whitespace inside rational token: %r" % token)
     if "/" in token:
         num, den = token.split("/")
-        return Fraction(int(num), int(den))
+        num, den = int(num), int(den)
+        if den <= 0:
+            raise ValueError("denominator must be positive: %r" % token)
+        return Fraction(num, den)
     return Fraction(int(token))
 
 
@@ -198,8 +207,9 @@ def psd_check(M: SymMatrix) -> PsdVerdict:
         s = M.quadratic_form(e_i)
         x = -(s + 1) / (2 * r)
         v = [x * a + b for a, b in zip(e_j, e_i)]
-    value = M.quadratic_form(v)
-    assert value < 0, "internal error: witness is not negative"
+    if not M.quadratic_form(v) < 0:
+        raise WitnessError("witness for the pivot at step %d is not negative"
+                           % step)
     return PsdVerdict(is_psd=False, witness=tuple(v), failed_pivot=step)
 
 

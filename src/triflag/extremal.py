@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-import networkx as nx
-
 from .graphs import (ColouredGraph, SizeLimitError, canonical_key,
                      corollary_value, mono_triangles)
 
@@ -180,14 +178,10 @@ def _greedy_partition(G: ColouredGraph) -> ClassPartition | None:
     for colour in range(1, G.k + 1):
         remaining = set(range(G.n))
         classes = []
-        graph = _colour_graph(G, colour)
         while remaining and len(classes) < 5:
-            sub = graph.subgraph(remaining)
-            best = max(nx.find_cliques(sub), key=len, default=None)
-            if best is None:
-                best = [min(remaining)]
+            best = max(_mono_cliques(G, colour, remaining), key=len)
             classes.append(frozenset(best))
-            remaining -= set(best)
+            remaining -= best
         if not remaining and len(classes) == 5:
             part = ClassPartition(tuple(classes), colour)
             if part.validate(G):
@@ -195,14 +189,25 @@ def _greedy_partition(G: ColouredGraph) -> ClassPartition | None:
     return None
 
 
-def _colour_graph(G: ColouredGraph, colour: int) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(range(G.n))
-    for u in range(G.n):
-        for v in range(u + 1, G.n):
-            if G.colour(u, v) == colour:
-                g.add_edge(u, v)
-    return g
+def _mono_cliques(G: ColouredGraph, colour: int, vertices) -> list[set]:
+    """All maximal cliques of `colour` inside `vertices` (Bron-Kerbosch
+    with pivoting over per-colour adjacency sets)."""
+    adj = {v: {u for u in vertices if u != v and G.colour(u, v) == colour}
+           for v in vertices}
+    out = []
+
+    def expand(clique, cand, excluded):
+        if not cand and not excluded:
+            out.append(clique)
+            return
+        pivot = max(cand | excluded, key=lambda u: len(adj[u] & cand))
+        for v in list(cand - adj[pivot]):
+            expand(clique | {v}, cand & adj[v], excluded & adj[v])
+            cand.remove(v)
+            excluded.add(v)
+
+    expand(set(), set(vertices), set())
+    return out
 
 
 def maximal_mono_cliques(G: ColouredGraph, min_size: int = 4) -> list[tuple]:
@@ -214,7 +219,7 @@ def maximal_mono_cliques(G: ColouredGraph, min_size: int = 4) -> list[tuple]:
                              % MAX_CLIQUE_N)
     out = []
     for colour in range(1, G.k + 1):
-        for clique in nx.find_cliques(_colour_graph(G, colour)):
+        for clique in _mono_cliques(G, colour, range(G.n)):
             if len(clique) >= min_size:
                 out.append((frozenset(clique), colour))
     out.sort(key=lambda t: (t[1], sorted(t[0])))

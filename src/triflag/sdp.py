@@ -22,13 +22,13 @@ identical to the coefficient table's.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificate import (NUM_FLAGS, Certificate, CertificateBlock,
-                          CoefficientTable, load_shipped_certificate)
+                          CoefficientTable, load_shipped_certificate,
+                          model_data)
 from .exact import DEFAULT_MAX_DEN, SymMatrix, rational_reconstruct
-from .graphs import ColouredGraph, mono_triangles
 
 NUM_MODELS = 792
 NUM_BLOCKS = 11          # ten flag blocks + one diagonal slack block
@@ -56,7 +56,6 @@ class SolverSolution:
     blocks: list               # ten 27x27 float matrices, symmetrized
     slack: list                # 792 floats
     y: list
-    bound: float = float(TARGET_BOUND)
 
 
 def _decimal_str(x: Fraction) -> str:
@@ -78,12 +77,9 @@ def export_sdp(table: CoefficientTable, path) -> None:
     lines.append(str(NUM_MODELS))
     lines.append(str(NUM_BLOCKS))
     lines.append(" ".join([str(NUM_FLAGS)] * 10 + [str(-NUM_MODELS)]))
-    rhs = []
-    for key in table.model_keys:
-        M = ColouredGraph(5, 3, tuple(key))
-        p = Fraction(mono_triangles(M)["total"], 10)
-        rhs.append(_decimal_str(p - TARGET_BOUND))
-    lines.append(" ".join(rhs))
+    mono = model_data().mono
+    lines.append(" ".join(_decimal_str(Fraction(mono[key], 10) - TARGET_BOUND)
+                          for key in table.model_keys))
     for k, key in enumerate(table.model_keys, start=1):
         for r in range(10):
             cells = table.counts[r][key]

@@ -80,6 +80,27 @@ def test_loader_rejects_truncation(shipped_cert):
         load_certificate(head)
 
 
+def test_loader_rejects_zero_denominators(shipped_cert):
+    text = serialize_certificate(shipped_cert)
+    with pytest.raises(CertificateError, match="line 2: bad bound"):
+        load_certificate(text.replace("BOUND 1/25", "BOUND 1/0"))
+    first_q_row = text.splitlines().index("Q 27") + 1
+    q_entry = _mutate_line(text, lambda i, ln: i == first_q_row,
+                           lambda ln: " ".join(["3/0"] + ln.split()[1:]))
+    with pytest.raises(CertificateError,
+                       match="line %d: bad rational" % (first_q_row + 1)):
+        load_certificate(q_entry)
+
+
+def test_loader_rejects_trailing_text(shipped_cert):
+    text = serialize_certificate(shipped_cert)
+    last = len(text.splitlines())
+    with pytest.raises(CertificateError,
+                       match="line %d: unexpected text" % (last + 2)):
+        load_certificate(text + "\nTYPE 11\n")
+    assert load_certificate(text + "\n\n") == shipped_cert
+
+
 def test_loader_rejects_bad_header():
     with pytest.raises(CertificateError, match="FLAGCERT"):
         load_certificate("FLAGCERT 2\nBOUND 1/25\n")
@@ -93,22 +114,45 @@ def test_table_identity_entries(shipped_cert, shipped_table):
     assert shipped_table.valid_injections[0][key] == 60
 
 
+def relabelled(cert, rng):
+    """The same certificate in another layout: in every block the type's
+    labels are permuted and the flags are listed in a random order."""
+    blocks = []
+    for b in cert.blocks:
+        pi = rng.sample(range(3), 3)         # new label a is old label pi[a]
+        sigma = b.type_sigma.relabel(pi)
+        order = rng.sample(range(27), 27)
+        vectors = tuple(tuple(b.vectors[k][p] for p in pi) for k in order)
+        rows = [[b.Q.rows[i][j] for j in order] for i in order]
+        blocks.append(CertificateBlock(
+            sigma, vectors, tuple(flag_from_vector(sigma, v) for v in vectors),
+            SymMatrix(rows)))
+    return Certificate(cert.bound, tuple(blocks))
+
+
 def test_table_matches_avg_coefficient_spot_checks(shipped_cert,
                                                    shipped_table):
     rng = random.Random(1)
     models = enumerate_models(5, 3)
-    for _ in range(6):
-        r = rng.randrange(10)
-        M = rng.choice(models)
-        i = rng.randrange(27)
-        j = rng.randrange(27)
-        block = shipped_cert.blocks[r]
-        want = avg_coefficient(block.type_sigma,
-                               flag_from_vector(block.type_sigma,
-                                                block.vectors[i]),
-                               flag_from_vector(block.type_sigma,
-                                                block.vectors[j]), M)
-        assert shipped_table.entry(r, bytes(M.entries), i, j) == want
+    moved = relabelled(shipped_cert, random.Random(3))
+    assert any(a.type_sigma != b.type_sigma
+               for a, b in zip(moved.blocks, shipped_cert.blocks))
+    moved_table = coefficient_table(moved)
+    for cert, table in ((shipped_cert, shipped_table), (moved, moved_table)):
+        for _ in range(6):
+            r = rng.randrange(10)
+            M = rng.choice(models)
+            i = rng.randrange(27)
+            j = rng.randrange(27)
+            block = cert.blocks[r]
+            want = avg_coefficient(block.type_sigma,
+                                   flag_from_vector(block.type_sigma,
+                                                    block.vectors[i]),
+                                   flag_from_vector(block.type_sigma,
+                                                    block.vectors[j]), M)
+            assert table.entry(r, bytes(M.entries), i, j) == want
+    assert lambda_vector(moved, moved_table) == \
+        lambda_vector(shipped_cert, shipped_table)
 
 
 def test_table_symmetry_and_sum_rule(shipped_table):
@@ -206,10 +250,3 @@ def test_extremal_zero_report(shipped_cert, shipped_report):
             M = ColouredGraph(5, 3, tuple(key))
             per = mono_triangles(M)
             assert per[2] == 0 and per[3] == 0
-
-
-def test_threaded_table_is_identical(shipped_cert, shipped_table):
-    threaded = coefficient_table(shipped_cert, threads=3)
-    assert threaded.counts == shipped_table.counts
-    assert threaded.valid_injections == shipped_table.valid_injections
-    assert threaded.model_keys == shipped_table.model_keys

@@ -1,17 +1,36 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from triflag.certificate import serialize_certificate, Certificate
+import triflag
+from triflag.certificate import (Certificate, CertificateBlock,
+                                 serialize_certificate,
+                                 shipped_certificate_text)
+from triflag.exact import SymMatrix
 from triflag.cli import main
 from triflag.extremal import build_gex
 from triflag.graphs import format_graph, parse_graph
+
+
+SRC = str(Path(triflag.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_python(*args):
+    """A fresh interpreter with this package first on its path."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=600,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_enumerate(tmp_path, capsys):
@@ -55,6 +74,42 @@ def test_verify_unparsable_certificate(tmp_path, capsys):
     path.write_text("FLAGCERT 1\nBOUND nonsense\n")
     code, _, err = run(capsys, "verify", "--cert", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("old, new", [
+    ("BOUND 1/25", "BOUND 1/0"),
+    ("Q 27\n24/25 ", "Q 27\n3/0 "),
+])
+def test_verify_zero_denominator(tmp_path, capsys, old, new):
+    text = shipped_certificate_text()
+    assert old in text
+    path = tmp_path / "zero-den.cert"
+    path.write_text(text.replace(old, new, 1))
+    code, _, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 2
+    assert "denominator must be positive" in err
+
+
+def test_witness_check_survives_optimized_interpreter(tmp_path,
+                                                       shipped_cert):
+    blocks = list(shipped_cert.blocks)
+    b = blocks[0]
+    blocks[0] = CertificateBlock(
+        b.type_sigma, b.vectors, b.flags,
+        SymMatrix([[-x for x in row] for row in b.Q.rows]))
+    path = tmp_path / "negated.cert"
+    path.write_text(serialize_certificate(
+        Certificate(shipped_cert.bound, tuple(blocks))))
+    proc = run_python("-O", "-m", "triflag.cli", "verify", "--cert",
+                      str(path))
+    assert proc.returncode == 1, proc.stderr
+    assert "PSD block=1 FAILED" in proc.stdout
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    proc = run_python("-c", "import sys, triflag.cli; "
+                            "sys.exit('networkx' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_extremal_and_count_and_check(tmp_path, capsys):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triflag.exact import (SymMatrix, format_rational, ldl_factor,
-                           parse_rational, psd_check, rational_reconstruct)
+from triflag.exact import (SymMatrix, WitnessError, format_rational,
+                           ldl_factor, parse_rational, psd_check,
+                           rational_reconstruct)
 
 F = Fraction
 
@@ -18,7 +19,7 @@ def test_parse_format_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "1/2/3", "a/b", "1 /2"]:
+    for bad in ["", "1/2/3", "a/b", "1 /2", "1/0", "3/-2"]:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
@@ -56,6 +57,13 @@ def test_psd_identity_and_negative():
     assert psd_check(SymMatrix.identity(4)).is_psd
     verdict = psd_check(SymMatrix.diagonal([1, -2, 3]))
     assert not verdict.is_psd
+
+
+def test_witness_recheck_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(SymMatrix, "quadratic_form",
+                        lambda self, v: F(0))
+    with pytest.raises(WitnessError):
+        psd_check(SymMatrix.diagonal([5, -1]))
 
 
 def test_witness_is_negative_by_direct_evaluation():

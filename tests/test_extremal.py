@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -124,6 +125,9 @@ def test_clique_partition_examples():
     assert all(len(c) == 1 for c in part.classes)
     assert clique_partition_5(ColouredGraph(6, 3, (2,) * 15)) is not None
     assert clique_partition_5(ColouredGraph(3, 3, (1, 1, 1))) is None
+    part = clique_partition_5(build_gex(30))        # greedy search, n > 25
+    assert part is not None and part.colour == 1
+    assert sorted(len(c) for c in part.classes) == [6, 6, 6, 6, 6]
 
 
 def test_maximal_mono_cliques():
@@ -133,6 +137,26 @@ def test_maximal_mono_cliques():
     assert maximal_mono_cliques(pentagon_base()) == []
     big = maximal_mono_cliques(ColouredGraph(6, 3, (1,) * 15))
     assert len(big) == 1 and len(big[0][0]) == 6
+
+
+def _brute_maximal_cliques(G, colour):
+    cliques = [set(S) for r in range(1, G.n + 1)
+               for S in combinations(range(G.n), r)
+               if all(G.colour(u, v) == colour for u, v in combinations(S, 2))]
+    return {frozenset(c) for c in cliques if not any(c < d for d in cliques)}
+
+
+def test_maximal_mono_cliques_match_subset_enumeration():
+    rng = random.Random(11)
+    for n in range(1, 9):
+        for _ in range(6):
+            G = ColouredGraph(n, 3, [rng.randint(1, 3)
+                                     for _ in range(n * (n - 1) // 2)])
+            found = maximal_mono_cliques(G, min_size=1)
+            assert len(set(found)) == len(found)
+            for colour in (1, 2, 3):
+                assert {vs for vs, c in found if c == colour} == \
+                    _brute_maximal_cliques(G, colour)
 
 
 def test_brute_min_two_colours_matches_goodman():
