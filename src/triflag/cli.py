@@ -126,8 +126,8 @@ def cmd_count(args) -> int:
     G = _load_graph(args.graph)
     per = mono_triangles(G)
     formula = corollary_value(G.n) if G.k == 3 else None
-    line = "triangles=%d by_colour=%d,%d,%d" % (per["total"], per[1],
-                                                per[2], per[3])
+    line = "triangles=%d by_colour=%s" % (
+        per["total"], ",".join(str(per[c]) for c in range(1, G.k + 1)))
     if formula is not None:
         line += " formula=%d" % formula
     print(line)

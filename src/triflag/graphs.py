@@ -8,9 +8,16 @@ exact subgraph densities, monochromatic-triangle counting, the closed-form
 triangle-minimum formulas, and the "bad" family of 4-vertex colourings whose
 density must vanish in near-extremal colourings.
 
-Canonicalization is exhaustive over vertex permutations, vectorized with
-numpy: the upper-triangle colour listing is evaluated under every relabelling
-and the lexicographically smallest listing is the canonical key.
+The canonical key of a colouring is the lexicographically smallest
+upper-triangle colour listing over all n! relabellings (so n <= CANON_MAX_N).
+One numpy kernel finds it for a whole batch of listings: it gathers every
+relabelled listing through a cached index and takes one `argmin` over them
+as fixed-width byte strings.  Models are sorted by these keys and reports
+print them, so they stay this global minimum; colour-profile refinement
+would not lift the size limit either, since every vertex of a balanced
+blow-up has the same profile.  Isomorphism testing does not canonicalise:
+it is a search with colour-profile candidates and forward checking, exact
+for every n.
 """
 
 from __future__ import annotations
@@ -18,13 +25,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import numpy as np
 
 CANON_MAX_N = 10       # exhaustive canonicalization limit
-_PACK_BASE = 5         # digit base for packed keys; supports colours 0..4
-_PACK_GROUP = 27       # 5**27 < 2**63
+_BATCH_BYTES = 1 << 20  # bytes of relabelled listings per gather (min. one row)
 
 
 class SizeLimitError(ValueError):
@@ -123,121 +129,77 @@ def _pair_index(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-@lru_cache(maxsize=32)
-def _perm_array(n: int) -> np.ndarray:
-    return np.array(list(permutations(range(n))), dtype=np.int8)
-
-
-def _perm_index_matrix(n: int, perms: np.ndarray) -> np.ndarray:
-    """Index matrix I with key(G, q) = entries[I[q]] for each relabelling q."""
+@lru_cache(maxsize=None)
+def _relabelling_index(n: int) -> np.ndarray:
+    """(n!, m) uint8 array I with listing[I[q]] the listing of the graph
+    relabelled by the q-th permutation of range(n) in lexicographic order
+    (the order of `itertools.permutations`)."""
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for size in range(1, n + 1):
+        perms = np.concatenate([
+            np.hstack((np.full((len(perms), 1), first, np.int8),
+                       perms + (perms >= first)))
+            for first in range(size)])
+    cols = np.ascontiguousarray(perms.T)      # cols[i]: images of vertex i
+    del perms
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    idx = np.empty((len(perms), len(pairs)), dtype=np.int32)
+    pos = np.zeros(n * n, dtype=np.uint8)     # pos[a * n + b]: pair {a, b}
     for t, (i, j) in enumerate(pairs):
-        a = perms[:, i].astype(np.int32)
-        b = perms[:, j].astype(np.int32)
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        idx[:, t] = lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
-    return idx
+        pos[i * n + j] = pos[j * n + i] = t
+    idx = np.empty((len(pairs), cols.shape[1]), dtype=np.uint8)
+    for t, (i, j) in enumerate(pairs):
+        idx[t] = pos[cols[i].astype(np.int16) * n + cols[j]]
+    return np.ascontiguousarray(idx.T)
 
 
-@lru_cache(maxsize=16)
-def _full_perm_index(n: int) -> np.ndarray:
-    if n > 8:
-        raise SizeLimitError("full permutation index only cached for n <= 8")
-    return _perm_index_matrix(n, _perm_array(n))
-
-
-def _pack_groups(rows: np.ndarray):
-    """Pack digit rows (..., m) into a list of uint64 arrays, 27 digits each,
-    preserving lexicographic order group by group."""
-    m = rows.shape[-1]
-    out = []
-    for start in range(0, m, _PACK_GROUP):
-        chunk = rows[..., start:start + _PACK_GROUP].astype(np.uint64)
-        width = chunk.shape[-1]
-        weights = np.array(
-            [_PACK_BASE ** (width - 1 - t) for t in range(width)],
-            dtype=np.uint64)
-        out.append(chunk @ weights)
-    return out
-
-
-def _unpack_key(packed, m: int) -> bytes:
-    digits = []
-    remaining = m
-    for value in packed:
-        width = min(_PACK_GROUP, remaining)
-        group = []
-        v = int(value)
-        for _ in range(width):
-            group.append(v % _PACK_BASE)
-            v //= _PACK_BASE
-        digits.extend(reversed(group))
-        remaining -= width
-    return bytes(digits)
+def _lex_min(flats: np.ndarray, n: int):
+    """Smallest relabelled listing of each row of a (g, m) uint8 batch of
+    n-vertex listings, and the lexicographic rank of a permutation giving
+    it (the first one).  Colours are at least 1, so no listing holds a zero
+    byte and fixed-width numpy byte strings order listings as bytes do."""
+    if n > CANON_MAX_N:
+        raise SizeLimitError("canonicalisation limited to n <= %d"
+                             % CANON_MAX_N)
+    m = n * (n - 1) // 2
+    if m == 0:
+        return [b""] * len(flats), [0] * len(flats)
+    # the index takes 13 MB at n = 9 and 163 MB at n = 10: only smaller
+    # ones are kept
+    idx = (_relabelling_index(n) if n <= 8
+           else _relabelling_index.__wrapped__(n))
+    step = max(1, _BATCH_BYTES // idx.size)
+    keys, ranks = [], []
+    for start in range(0, len(flats), step):
+        block = flats[start:start + step]
+        listings = np.ascontiguousarray(block[:, idx]).view("S%d" % m)
+        listings = listings.reshape(len(block), -1)
+        best = listings.argmin(axis=1)
+        keys.extend(listings[np.arange(len(block)), best].tolist())
+        ranks.extend(best.tolist())
+    return keys, ranks
 
 
 def canonical_keys_batch(flats: np.ndarray, n: int) -> list[bytes]:
     """Canonical keys for a batch of graphs given as a (g, m) uint8 array."""
-    if n <= 1:
-        return [bytes(row) for row in flats]
-    idx = _full_perm_index(n) if n <= 8 else _perm_index_matrix(n, _perm_array(n))
-    m = flats.shape[1]
-    nperm = idx.shape[0]
-    keys: list[bytes] = []
-    budget = 60_000_000
-    chunk = max(1, budget // (nperm * m))
-    for start in range(0, flats.shape[0], chunk):
-        block = flats[start:start + chunk]
-        rows = block[:, idx.reshape(-1)].reshape(block.shape[0], nperm, m)
-        groups = _pack_groups(rows)          # list of (g, nperm) uint64
-        mins = []
-        mask = np.ones_like(groups[0], dtype=bool)
-        for g in groups:
-            masked = np.where(mask, g, np.uint64(0xFFFFFFFFFFFFFFFF))
-            gmin = masked.min(axis=1)
-            mins.append(gmin)
-            mask &= g == gmin[:, None]
-        for row_i in range(block.shape[0]):
-            keys.append(_unpack_key([mn[row_i] for mn in mins], m))
-    return keys
+    return _lex_min(flats, n)[0]
 
 
 def canonical_form(G: ColouredGraph):
     """Canonical key and the relabelling permutation achieving it.
 
-    Returns (key, perm) where perm maps canonical positions to original
-    vertices: G.relabel(perm).entries == key (as a byte sequence).
-    Exhaustive over all n! relabellings; limited to n <= CANON_MAX_N.
+    The key is the lexicographically smallest colour listing over all n!
+    relabellings, so n is limited to CANON_MAX_N.  Returns (key, perm)
+    where perm maps canonical positions to original vertices:
+    G.relabel(perm).entries == key (as a byte sequence).
     """
-    n = G.n
-    if n > CANON_MAX_N:
-        raise SizeLimitError("canonical_form limited to n <= %d" % CANON_MAX_N)
-    if n <= 1:
-        return bytes(G.entries), tuple(range(n))
-    flat = np.array(G.entries, dtype=np.uint8)
-    m = flat.shape[0]
-    best_key = None
-    best_perm = None
-    all_perms = _perm_array(n)
-    chunk = 200_000
-    for start in range(0, len(all_perms), chunk):
-        perms = all_perms[start:start + chunk]
-        idx = (_full_perm_index(n) if n <= 8 and len(perms) == len(all_perms)
-               else _perm_index_matrix(n, perms))
-        rows = flat[idx]
-        groups = _pack_groups(rows)
-        cand = np.arange(rows.shape[0])
-        for g in groups:
-            vals = g[cand]
-            cand = cand[vals == vals.min()]
-        pick = int(cand[0])
-        key = bytes(int(x) for x in rows[pick])
-        if best_key is None or key < best_key:
-            best_key = key
-            best_perm = tuple(int(x) for x in perms[pick])
-    return best_key, best_perm
+    flat = np.array(G.entries, dtype=np.uint8).reshape(1, -1)
+    (key,), (rank,) = _lex_min(flat, G.n)
+    rest = list(range(G.n))
+    perm = []
+    for size in range(G.n, 0, -1):
+        q, rank = divmod(rank, math.factorial(size - 1))
+        perm.append(rest.pop(q))
+    return key, tuple(perm)
 
 
 def canonical_key(G: ColouredGraph) -> bytes:
@@ -249,55 +211,42 @@ def key_hex(key: bytes) -> str:
 
 
 def is_isomorphic(G: ColouredGraph, H: ColouredGraph) -> bool:
-    """Colour-respecting isomorphism test.
+    """Colour-respecting isomorphism test, exact for every n.
 
-    Key equality for n <= CANON_MAX_N; a pruned backtracking search above
-    that (needed e.g. for 11-vertex extremal graphs).
+    A depth-first search for a bijection from V(G) to V(H).  A vertex's
+    candidates start as the H-vertices with its colour profile (its number
+    of edges of each colour).  Assigning v -> w drops, for every unassigned
+    u, the candidates whose colour to w differs from colour(v, u); the
+    search branches on the vertex with the fewest candidates.
     """
     if G.n != H.n or G.k != H.k:
         return False
-    if sorted(G.entries) != sorted(H.entries):
-        return False
-    if G.n <= CANON_MAX_N:
-        return canonical_key(G) == canonical_key(H)
-    return _backtrack_isomorphic(G, H)
-
-
-def _colour_profile(G: ColouredGraph, v: int):
-    counts = [0] * (G.k + 1)
-    for u in range(G.n):
-        if u != v:
-            counts[G.colour(u, v)] += 1
-    return tuple(counts)
-
-
-def _backtrack_isomorphic(G: ColouredGraph, H: ColouredGraph) -> bool:
-    n = G.n
-    gp = [_colour_profile(G, v) for v in range(n)]
-    hp = [_colour_profile(H, v) for v in range(n)]
+    gm, hm = G.matrix(), H.matrix()
+    gp = [sorted(row) for row in gm]
+    hp = [sorted(row) for row in hm]
     if sorted(gp) != sorted(hp):
         return False
-    gm = G.matrix()
-    hm = H.matrix()
-    assignment = [-1] * n
-    used = [False] * n
+    cands = {v: [w for w in range(H.n) if hp[w] == gp[v]]
+             for v in range(G.n)}
 
-    def extend(i: int) -> bool:
-        if i == n:
+    def extend(cands) -> bool:
+        if not cands:
             return True
-        for w in range(n):
-            if used[w] or gp[i] != hp[w]:
-                continue
-            ok = all(gm[i][j] == hm[w][assignment[j]] for j in range(i))
-            if ok:
-                assignment[i] = w
-                used[w] = True
-                if extend(i + 1):
+        v = min(cands, key=lambda u: len(cands[u]))
+        for w in cands[v]:
+            rest = {}
+            for u, ws in cands.items():
+                if u != v:
+                    # hm[w][w] is 0, never an edge colour: w itself drops
+                    rest[u] = [x for x in ws if hm[w][x] == gm[v][u]]
+                    if not rest[u]:
+                        break
+            else:
+                if extend(rest):
                     return True
-                used[w] = False
         return False
 
-    return extend(0)
+    return extend(cands)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +255,9 @@ def _backtrack_isomorphic(G: ColouredGraph, H: ColouredGraph) -> bool:
 
 def _check_enumeration_limit(l: int, k: int):
     if k == 1:
-        if l > 12:
-            raise SizeLimitError("enumeration limited to l <= 12 for k = 1")
+        if l > CANON_MAX_N:
+            raise SizeLimitError("enumeration limited to l <= %d for k = 1"
+                                 % CANON_MAX_N)
     elif k == 2:
         if l > 8:
             raise SizeLimitError("enumeration limited to l <= 8 for k = 2")
@@ -400,6 +350,9 @@ def subgraph_class_counts(G: ColouredGraph, l: int) -> dict:
     n = G.n
     if l > n:
         raise ValueError("subgraph size exceeds |G|")
+    if l > CANON_MAX_N:
+        raise SizeLimitError("subgraph classes limited to l <= %d"
+                             % CANON_MAX_N)
     if l == 0:
         return {b"": 1}
     subsets = list(combinations(range(n), l))

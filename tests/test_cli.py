@@ -122,11 +122,31 @@ def test_extremal_and_count_and_check(tmp_path, capsys):
 
     code, stdout, _ = run(capsys, "count", str(graph))
     assert code == 0
-    assert "triangles=1" in stdout
+    assert stdout == "triangles=1 by_colour=1,0,0 formula=1\n"
 
     code, stdout, _ = run(capsys, "check-gn", str(graph))
     assert code == 0
     assert "member" in stdout
+
+
+@pytest.mark.parametrize("n, k, entries, want", [
+    (4, 1, (1, 1, 1, 1, 1, 1), "triangles=4 by_colour=4\n"),
+    (4, 2, (1, 2, 2, 2, 2, 2), "triangles=2 by_colour=0,2\n"),
+    (3, 4, (4, 4, 4), "triangles=1 by_colour=0,0,0,1\n"),
+])
+def test_count_reports_every_colour(tmp_path, capsys, n, k, entries, want):
+    from triflag.graphs import ColouredGraph
+    path = tmp_path / "g.txt"
+    path.write_text(format_graph(ColouredGraph(n, k, entries)))
+    code, stdout, _ = run(capsys, "count", str(path))
+    assert code == 0
+    assert stdout == want
+
+
+def test_enumerate_size_limit(capsys):
+    code, _, err = run(capsys, "enumerate", "--n", "11", "--k", "1")
+    assert code == 2
+    assert "error" in err
 
 
 def test_check_gn_rejects_non_member(tmp_path, capsys):

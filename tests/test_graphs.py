@@ -1,12 +1,17 @@
+import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triflag.extremal import build_gex
+from triflag.flags import Flag
 from triflag.graphs import (ColouredGraph, SizeLimitError, bad_family,
-                            canonical_form, canonical_key, corollary_value,
+                            canonical_form, canonical_key,
+                            canonical_keys_batch, corollary_value,
                             count_models_polya, density, enumerate_models,
                             family_density, format_graph, goodman,
                             is_isomorphic, key_hex, mono_k3_family,
@@ -42,6 +47,25 @@ def shuffled(G, seed):
     return G.relabel(perm)
 
 
+def random_graph(n, k, seed):
+    rng = random.Random(seed)
+    return ColouredGraph(n, k, [rng.randint(1, k)
+                                for _ in range(n * (n - 1) // 2)])
+
+
+def red_cycles(*lengths):
+    """Disjoint red cycles covering all vertices, every other edge blue."""
+    n = sum(lengths)
+    rows = [[0 if i == j else 2 for j in range(n)] for i in range(n)]
+    start = 0
+    for length in lengths:
+        for t in range(length):
+            a, b = start + t, start + (t + 1) % length
+            rows[a][b] = rows[b][a] = 1
+        start += length
+    return ColouredGraph.from_matrix(rows, k=2)
+
+
 def test_construction_validation():
     with pytest.raises(ValueError):
         ColouredGraph(3, 3, (1, 1))
@@ -68,6 +92,45 @@ def test_canonical_form_returns_witness_permutation():
     assert bytes(G.relabel(perm).entries) == key
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_canonical_form_witness_at_cached_and_rebuilt_index_sizes(n):
+    G = random_graph(n, 3, n)
+    key, perm = canonical_form(G)
+    assert bytes(G.relabel(perm).entries) == key
+    assert canonical_key(shuffled(G, n)) == key
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2, 3)).flatmap(
+    lambda k: coloured_graphs(max_n=6, k=k)))
+def test_canonical_key_matches_flag_key_reference(G):
+    # Flag.key is a pure-Python loop over permutations, independent of the
+    # numpy kernel behind canonical_key
+    assert canonical_key(G) == Flag(G, ()).key()
+
+
+@pytest.mark.parametrize("l, k, digest", [
+    (5, 3, "caa653628c77617f1a78fe5435c67dc81d1ea3f6cc54634510959c1fb6a1f574"),
+    (6, 2, "d821b8caaa80fc8f3e5fd9aff1f856b89b78eead5eaeeb1c9851db0f5f538acc"),
+])
+def test_model_keys_and_order_are_pinned(l, k, digest):
+    # reports print model keys, so neither the keys nor their order may move
+    keys = b"".join(bytes(M.entries) for M in enumerate_models(l, k))
+    assert hashlib.sha256(keys).hexdigest() == digest
+
+
+def test_canonicalisation_size_guard():
+    # each call would otherwise build all 11! relabellings
+    with pytest.raises(SizeLimitError):
+        canonical_keys_batch(np.ones((1, 55), dtype=np.uint8), 11)
+    with pytest.raises(SizeLimitError):
+        subgraph_class_counts(build_gex(12), 11)
+    with pytest.raises(SizeLimitError):
+        density(mono_kn(11, 1), build_gex(12))
+    with pytest.raises(SizeLimitError):
+        canonical_form(mono_kn(11, 1))
+
+
 def test_red_path_vs_red_matching_on_k4():
     # path 0-1-2-3 in red vs matching {01, 23} in red, all else blue
     path = [[0] * 4 for _ in range(4)]
@@ -90,6 +153,66 @@ def test_isomorphism_basics():
     G = mono_kn(4, 1)
     assert is_isomorphic(G, shuffled(G, 3))
     assert not is_isomorphic(mono_kn(4, 1), mono_kn(4, 2))
+
+
+@st.composite
+def graph_pairs(draw):
+    """A graph and a relabelled copy, a relabelled copy with one edge
+    recoloured, or an independent colouring of the same size."""
+    k = draw(st.sampled_from((2, 3)))
+    G = draw(coloured_graphs(max_n=7, k=k))
+    kind = draw(st.sampled_from(("copy", "recoloured", "independent")))
+    if kind == "independent":
+        return G, ColouredGraph(G.n, k, [draw(st.integers(1, k))
+                                         for _ in G.entries])
+    entries = list(shuffled(G, draw(st.integers(0, 10**6))).entries)
+    if kind == "recoloured" and entries:
+        entries[draw(st.integers(0, len(entries) - 1))] = \
+            draw(st.integers(1, k))
+    return G, ColouredGraph(G.n, k, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_pairs())
+def test_isomorphism_matches_canonical_key_equality(pair):
+    G, H = pair
+    assert is_isomorphic(G, H) == (canonical_key(G) == canonical_key(H))
+
+
+@pytest.mark.parametrize("lengths, other", [
+    ((6,), (3, 3)), ((11,), (5, 6)), ((12,), (6, 6)), ((12,), (4, 4, 4))])
+def test_isomorphism_same_profiles(lengths, other):
+    # every vertex has two red and n - 3 blue edges in both graphs
+    G, H = red_cycles(*lengths), red_cycles(*other)
+    assert not is_isomorphic(G, H)
+    assert not is_isomorphic(shuffled(H, 1), G)
+    assert is_isomorphic(G, shuffled(G, 2))
+    assert is_isomorphic(shuffled(H, 3), shuffled(H, 4))
+
+
+def test_isomorphism_of_relabelled_k22_matching_blow_up():
+    # a relabelled K_22 blow-up with a recoloured matching between two
+    # classes, and a relabelled copy: a hard case for unrefined search
+    G = ColouredGraph(22, 3, [int(c) for c in
+        "1323221233332233322113232212333322333221122323311123322122333312322233"
+        "3332112223322221221123333321333211223332223222333332112223333223332211"
+        "3332112233322112332212233123322122332332212233221123333122333222233322"
+        "123333233331233122221"])
+    H = ColouredGraph(22, 3, [int(c) for c in
+        "3322213112222132323331322313323223232322132231332322323232213313223133"
+        "2212122313222131123333332322213112333333232231332212122333232232323221"
+        "1222213232333222213232333311233333323322121223123333332233333323232333"
+        "212112212232112223122"])
+    assert is_isomorphic(G, H)
+    assert is_isomorphic(H, G)
+
+
+def test_isomorphism_of_random_k10():
+    G = random_graph(10, 3, 1)
+    assert is_isomorphic(G, shuffled(G, 1))
+    recoloured = list(G.entries)
+    recoloured[0] = 1 + recoloured[0] % 3
+    assert not is_isomorphic(G, ColouredGraph(10, 3, recoloured))
 
 
 @settings(max_examples=50, deadline=None)
@@ -123,6 +246,8 @@ def test_enumeration_size_limits():
         enumerate_models(7, 3)
     with pytest.raises(SizeLimitError):
         enumerate_models(9, 2)
+    with pytest.raises(SizeLimitError):
+        enumerate_models(11, 1)
 
 
 def test_density_examples():
