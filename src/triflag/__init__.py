@@ -9,8 +9,9 @@ the upper bound is the explicit construction in `extremal`.
 """
 
 from .exact import (SymMatrix, LdlFactorization, PsdVerdict, WitnessError,
-                    ldl_factor, psd_check, parse_rational, format_rational,
-                    rational_reconstruct, DEFAULT_MAX_DEN)
+                    InexactDivisionError, ldl_factor, psd_check,
+                    parse_rational, format_rational, rational_reconstruct,
+                    DEFAULT_MAX_DEN)
 from .graphs import (ColouredGraph, SizeLimitError, canonical_form,
                      canonical_key, is_isomorphic, enumerate_models,
                      count_models_polya, density, family_density, key_hex,

@@ -19,6 +19,7 @@ used anywhere.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +74,7 @@ class CoefficientTable:
 class VerificationReport:
     psd_ok: list                       # per block
     psd_failed_blocks: list
+    psd_ranks: list                    # per block; None where not PSD
     lambdas: dict                      # model key -> Fraction
     min_lambda: Fraction | None
     negative_lambda_keys: list
@@ -200,23 +202,29 @@ def load_shipped_certificate() -> Certificate:
 
 class ModelData:
     """What verification needs about the 792 five-vertex models that does
-    not depend on a certificate: the canonical keys in enumeration order,
-    `mono` (key -> monochromatic-triangle total) and `bad` (key -> the
-    bad-family keys the model contains, in bad_family() order).  Pair
-    counts are added per labelled type on first request."""
+    not depend on a certificate: the canonical keys in enumeration order
+    and `mono` (key -> monochromatic-triangle total).  Bad-family
+    containment (`bad`) and pair counts are added per model and per
+    labelled type on first request."""
 
     def __init__(self):
         self.models = enumerate_models(5, 3)
         self.keys = tuple(bytes(M.entries) for M in self.models)
-        bad_keys = [canonical_key(H) for H in bad_family()]
-        self.mono = {}
-        self.bad = {}
-        for M, key in zip(self.models, self.keys):
-            self.mono[key] = mono_triangles(M)["total"]
-            four_counts = subgraph_class_counts(M, 4)
-            self.bad[key] = tuple(hk for hk in bad_keys
-                                  if four_counts.get(hk, 0) > 0)
+        self.mono = {key: mono_triangles(M)["total"]
+                     for M, key in zip(self.models, self.keys)}
+        self._model = dict(zip(self.keys, self.models))
+        self._bad_keys = [canonical_key(H) for H in bad_family()]
+        self._bad = {}
         self._pairs = {}
+
+    def bad(self, key: bytes) -> tuple:
+        """The bad-family keys that model `key` contains, in bad_family()
+        order."""
+        if key not in self._bad:
+            four_counts = subgraph_class_counts(self._model[key], 4)
+            self._bad[key] = tuple(hk for hk in self._bad_keys
+                                   if four_counts.get(hk, 0) > 0)
+        return self._bad[key]
 
     def pair_counts(self, sigma: TypeSigma) -> list:
         """triangle_pair_counts(sigma, M) for every model, in key order."""
@@ -252,32 +260,30 @@ def coefficient_table(cert: Certificate) -> CoefficientTable:
 
 
 def lambda_vector(cert: Certificate, table: CoefficientTable) -> dict:
-    """lambda_k for every model, exactly."""
+    """lambda_k for every model, exactly: integer numerators over one
+    common denominator, 120 times the lcm of the bound's and every Q
+    entry's denominator."""
+    den = math.lcm(cert.bound.denominator,
+                   *(x.denominator for block in cert.blocks
+                     for row in block.Q.rows for x in row))
+    bound = cert.bound.numerator * (den // cert.bound.denominator) * 120
+    scaled_q = [[[x.numerator * (den // x.denominator) for x in row]
+                 for row in block.Q.rows] for block in cert.blocks]
     mono = model_data().mono
     out = {}
     for key in table.model_keys:
-        lam = Fraction(mono[key], 10) - cert.bound
-        for r, block in enumerate(cert.blocks):
-            q = block.Q.rows
-            total = 0
-            for (i, j), c in table.counts[r][key].items():
-                if q[i][j]:
-                    total += q[i][j] * c
-            lam -= Fraction(total, 120)
-        out[key] = lam
+        num = 12 * den * mono[key] - bound
+        for q, counts in zip(scaled_q, table.counts):
+            num -= sum(q[i][j] * c for (i, j), c in counts[key].items())
+        out[key] = Fraction(num, 120 * den)
     return out
 
 
 def verify(cert: Certificate, table: CoefficientTable | None = None) -> VerificationReport:
     """Full exact verification; failures are report content, never raised."""
     start = time.monotonic()
-    psd_ok = []
-    psd_failed = []
-    for r, block in enumerate(cert.blocks, start=1):
-        verdict = psd_check(block.Q)
-        psd_ok.append(verdict.is_psd)
-        if not verdict.is_psd:
-            psd_failed.append(r)
+    verdicts = [psd_check(block.Q) for block in cert.blocks]
+    psd_ok = [v.is_psd for v in verdicts]
     if table is None:
         table = coefficient_table(cert)
     lambdas = lambda_vector(cert, table)
@@ -286,11 +292,13 @@ def verify(cert: Certificate, table: CoefficientTable | None = None) -> Verifica
 
     data = model_data()
     violations = [(hk, key, lambdas[key]) for key in data.keys
-                  if lambdas[key] <= 0 for hk in data.bad[key]]
+                  if lambdas[key] <= 0 for hk in data.bad(key)]
     verified = all(psd_ok) and not negative and not violations
     return VerificationReport(
         psd_ok=psd_ok,
-        psd_failed_blocks=psd_failed,
+        psd_failed_blocks=[r for r, ok in enumerate(psd_ok, start=1)
+                           if not ok],
+        psd_ranks=[v.rank for v in verdicts],
         lambdas=lambdas,
         min_lambda=min_lambda,
         negative_lambda_keys=negative,
@@ -306,6 +314,8 @@ def report_text(report: VerificationReport) -> str:
     lines = []
     for r, ok in enumerate(report.psd_ok, start=1):
         lines.append("PSD block=%d %s" % (r, "ok" if ok else "FAILED"))
+    lines.append("PSD_RANKS " + " ".join("-" if rank is None else str(rank)
+                                         for rank in report.psd_ranks))
     if report.min_lambda is not None:
         lines.append("MIN_LAMBDA " + format_rational(report.min_lambda))
     lines.append("NEGATIVE_LAMBDAS %d" % len(report.negative_lambda_keys))

@@ -125,7 +125,7 @@ def cmd_check_gn(args) -> int:
 def cmd_count(args) -> int:
     G = _load_graph(args.graph)
     per = mono_triangles(G)
-    formula = corollary_value(G.n) if G.k == 3 else None
+    formula = corollary_value(G.n) if G.k == 3 and G.n >= 5 else None
     line = "triangles=%d by_colour=%s" % (
         per["total"], ",".join(str(per[c]) for c in range(1, G.k + 1)))
     if formula is not None:

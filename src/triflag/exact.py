@@ -1,16 +1,20 @@
 """Exact rational arithmetic helpers: symmetric matrices, LDL^T factorization,
 positive-semidefiniteness certificates and bounded-denominator rounding.
 
-All arithmetic is done with `fractions.Fraction`; no floating point value ever
-enters a verdict.  The PSD test is a symmetric LDL^T elimination without
-pivoting: a symmetric matrix is PSD iff elimination runs to completion with
-every pivot >= 0, where a zero pivot is only legal when its entire remaining
-row is zero.  When the test fails we return an explicit rational witness v
-with v^T M v < 0 that can be re-checked by direct evaluation.
+All arithmetic is exact, in integers and `fractions.Fraction`; no floating
+point value ever enters a verdict.  The PSD test is a symmetric LDL^T
+elimination without pivoting: a symmetric matrix is PSD iff elimination runs
+to completion with every pivot >= 0, where a zero pivot is only legal when its
+entire remaining row is zero.  The elimination itself is fraction-free
+(Bareiss) on an integer matrix congruent to the input, so it keeps the
+inertia; the rational factors are read back from it.  When the test fails we
+return an explicit rational witness v with v^T M v < 0 that can be re-checked
+by direct evaluation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -21,6 +25,11 @@ DEFAULT_MAX_DEN = 10**7
 class WitnessError(ArithmeticError):
     """A NotPSD witness v failed its re-check v^T M v < 0: an internal
     fault, never a verdict."""
+
+
+class InexactDivisionError(ArithmeticError):
+    """A step of the fraction-free elimination left a remainder: an
+    internal fault, never a verdict."""
 
 
 def parse_rational(token: str) -> Fraction:
@@ -122,44 +131,68 @@ class PsdVerdict:
     witness: tuple | None = None        # rational v with v^T M v < 0
     failed_pivot: int | None = None     # elimination step where PSD failed
     factorization: LdlFactorization | None = None
+    rank: int | None = None             # nonzero pivots, when PSD
 
     def __bool__(self):
         return self.is_psd
 
 
-def _eliminate(M: SymMatrix):
-    """Run pivot-free symmetric elimination.
+def _exact_quotients(values: list, den: int) -> list:
+    """[x // den for x in values] for a den > 0, raising
+    InexactDivisionError unless every division is exact.  Each floor
+    remainder lies in [0, den), so all are zero iff their sum is."""
+    quotients = [x // den for x in values]
+    if sum(values) != den * sum(quotients):
+        raise InexactDivisionError(
+            "elimination step: a value is not a multiple of %d" % den)
+    return quotients
 
-    Returns (L_cols, diag, fail) where fail is None on success, otherwise
-    (step, kind, row) with kind in {"negative", "zero_pivot"}; for a zero
-    pivot, row is an index below the pivot with a nonzero residual entry.
+
+def _eliminate(M: SymMatrix):
+    """Run pivot-free symmetric elimination of M.
+
+    Returns (L, diag, fail): M = L diag(diag) L^T when fail is None,
+    otherwise fail is (step, kind, row) with kind in {"negative",
+    "zero_pivot"}; for a zero pivot, row is an index below the pivot with a
+    nonzero residual entry.  L and diag are filled up to the failed step.
+
+    The elimination is Bareiss's, on the integer matrix A = S M S with
+    S = diag(s_i), s_i the lcm of the denominators in row i (one lcm for
+    the whole matrix can have hundreds of digits).  After the step with
+    pivot p, the rows below hold p times the Schur complement, so every
+    division by the previous nonzero pivot p' is exact.  A zero pivot with
+    a zero remaining row is skipped and leaves the matrix and p' alone.
+    The rational factors of M are read from the pivot row j:
+    d_j = p / (p' s_j^2) and L_ij = A_ji s_j / (p s_i).
     """
     n = M.dim
-    A = [list(row) for row in M.rows]
-    L = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
+    scale = [math.lcm(*(x.denominator for x in row)) for row in M.rows]
+    A = [[x.numerator * (scale[i] // x.denominator) * scale[j]
+          for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
+    zero, one = Fraction(0), Fraction(1)
+    L = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    diag = [zero] * n
+    prev = 1
     for j in range(n):
-        L[j][j] = Fraction(1)
-        piv = A[j][j]
-        diag[j] = piv
+        Aj = A[j]
+        piv = Aj[j]
+        if piv:
+            diag[j] = Fraction(piv, prev * scale[j] ** 2)
         if piv < 0:
             return L, diag, (j, "negative", j)
         if piv == 0:
             for i in range(j + 1, n):
-                if A[i][j] != 0:
+                if Aj[i]:
                     return L, diag, (j, "zero_pivot", i)
-            continue  # zero pivot with zero residual row: skip elimination
+            continue
         for i in range(j + 1, n):
-            L[i][j] = A[i][j] / piv
-        Aj = A[j]
-        for i in range(j + 1, n):
-            lij = L[i][j]
-            if lij == 0:
-                continue
+            a = Aj[i]
+            if a:
+                L[i][j] = Fraction(a * scale[j], piv * scale[i])
             Ai = A[i]
-            for k in range(j + 1, n):
-                if Aj[k]:
-                    Ai[k] -= lij * Aj[k]
+            Ai[i:] = _exact_quotients(
+                [piv * x - a * y for x, y in zip(Ai[i:], Aj[i:])], prev)
+        prev = piv
     return L, diag, None
 
 
@@ -181,7 +214,8 @@ def psd_check(M: SymMatrix) -> PsdVerdict:
     L, diag, fail = _eliminate(M)
     if fail is None:
         fact = LdlFactorization(tuple(tuple(r) for r in L), tuple(diag))
-        return PsdVerdict(is_psd=True, factorization=fact)
+        return PsdVerdict(is_psd=True, factorization=fact,
+                          rank=sum(1 for d in diag if d))
     step, kind, row = fail
     n = M.dim
 

@@ -23,10 +23,13 @@ for every n.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
+# No BLAS work is done here; an idle OpenBLAS thread pool only burns CPU.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 CANON_MAX_N = 10       # exhaustive canonicalization limit

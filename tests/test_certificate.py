@@ -11,8 +11,9 @@ from triflag.certificate import (Certificate, CertificateBlock,
                                  report_text, serialize_certificate, verify)
 from triflag.exact import SymMatrix
 from triflag.flags import avg_coefficient, flag_from_vector
-from triflag.graphs import (ColouredGraph, canonical_key, enumerate_models,
-                            mono_triangles)
+from triflag.graphs import (ColouredGraph, bad_family, canonical_key,
+                            enumerate_models, mono_triangles,
+                            subgraph_class_counts)
 
 SHIPPED_SHA256 = \
     "42987518138734882c68c1e1df5badfb8ca8f2f4017c5ee026861d4c075ca71a"
@@ -174,6 +175,60 @@ def test_lambda_vector_shipped(shipped_cert, shipped_table):
     assert lams[pent_key] == 0
 
 
+def fraction_lambdas(cert, table):
+    """Oracle: lambda_k summed cell by cell in Fractions."""
+    out = {}
+    for key in table.model_keys:
+        mono = mono_triangles(ColouredGraph(5, 3, tuple(key)))["total"]
+        lam = Fraction(mono, 10) - cert.bound
+        for block, counts in zip(cert.blocks, table.counts):
+            lam -= sum(block.Q[i, j] * Fraction(c, 120)
+                       for (i, j), c in counts[key].items())
+        out[key] = lam
+    return out
+
+
+def test_lambda_vector_matches_fraction_sums(shipped_cert, shipped_table):
+    coarse = tuple(
+        CertificateBlock(b.type_sigma, b.vectors, b.flags, SymMatrix(
+            [[x.limit_denominator(1000) for x in row] for row in b.Q.rows]))
+        for b in shipped_cert.blocks)
+    for cert in (shipped_cert,
+                 Certificate(Fraction(1, 24), shipped_cert.blocks),
+                 Certificate(Fraction(7, 173), coarse)):
+        lams = lambda_vector(cert, shipped_table)
+        assert list(lams) == list(shipped_table.model_keys)
+        assert lams == fraction_lambdas(cert, shipped_table)
+
+
+def test_bad_family_containment_is_computed_on_request(monkeypatch):
+    calls = []
+    counts = cert_mod.subgraph_class_counts
+    monkeypatch.setattr(cert_mod, "subgraph_class_counts",
+                        lambda G, l: calls.append(l) or counts(G, l))
+    data = cert_mod.ModelData()
+    assert calls == []
+    key = data.keys[0]
+    assert data.bad(key) == data.bad(key)
+    assert calls == [4]
+
+
+def test_bad_family_violations_match_eager_containment(shipped_cert,
+                                                       shipped_table):
+    report = verify(Certificate(Fraction(1, 24), shipped_cert.blocks),
+                    shipped_table)
+    bad_keys = [canonical_key(H) for H in bad_family()]
+    want = []
+    for M in enumerate_models(5, 3):
+        lam = report.lambdas[bytes(M.entries)]
+        if lam <= 0:
+            four = subgraph_class_counts(M, 4)
+            want += [(hk, bytes(M.entries), lam) for hk in bad_keys
+                     if four.get(hk, 0) > 0]
+    assert len(want) == 45
+    assert report.bad_family_violations == want
+
+
 def test_verify_shipped(shipped_report):
     assert shipped_report.verified
     assert shipped_report.verdict == "VERIFIED"
@@ -182,6 +237,13 @@ def test_verify_shipped(shipped_report):
     assert shipped_report.bad_family_ok
     text = report_text(shipped_report)
     assert "VERDICT VERIFIED" in text
+
+
+def test_psd_ranks_are_reported(shipped_report):
+    assert shipped_report.psd_ranks == [1, 22, 22, 22, 21, 22, 1, 22, 22, 1]
+    lines = report_text(shipped_report).splitlines()
+    assert lines[:10] == ["PSD block=%d ok" % r for r in range(1, 11)]
+    assert lines[10] == "PSD_RANKS 1 22 22 22 21 22 1 22 22 1"
 
 
 def test_verify_reports_are_deterministic(shipped_cert, shipped_table):
@@ -210,6 +272,7 @@ def test_negated_block_fails_psd(shipped_cert, shipped_table):
                     shipped_table)
     assert not report.verified
     assert report.psd_failed_blocks == [1]
+    assert "PSD_RANKS - 22 22 22 21 22 1 22 22 1\n" in report_text(report)
 
 
 def test_single_entry_mutations_name_the_failing_check(shipped_cert,

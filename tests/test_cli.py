@@ -106,6 +106,30 @@ def test_witness_check_survives_optimized_interpreter(tmp_path,
     assert "PSD block=1 FAILED" in proc.stdout
 
 
+def test_inexact_division_survives_optimized_interpreter():
+    code = ("import triflag.exact as e\n"
+            "q = e._exact_quotients\n"
+            "e._exact_quotients = lambda v, d: q([x + (d > 1) for x in v], d)\n"
+            "try:\n"
+            "    e.psd_check(e.SymMatrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))\n"
+            "except e.InexactDivisionError:\n"
+            "    print('raised')\n")
+    proc = run_python("-O", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
+
+
+@pytest.mark.parametrize("setting, want", [(None, "1"), ("3", "3")])
+def test_openblas_threads_default_to_one(monkeypatch, setting, want):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if setting is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", setting)
+    proc = run_python("-c", "import os, triflag; "
+                            "print(os.environ['OPENBLAS_NUM_THREADS'])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want + "\n"
+
+
 def test_cli_import_leaves_networkx_unloaded():
     proc = run_python("-c", "import sys, triflag.cli; "
                             "sys.exit('networkx' in sys.modules)")
@@ -133,6 +157,7 @@ def test_extremal_and_count_and_check(tmp_path, capsys):
     (4, 1, (1, 1, 1, 1, 1, 1), "triangles=4 by_colour=4\n"),
     (4, 2, (1, 2, 2, 2, 2, 2), "triangles=2 by_colour=0,2\n"),
     (3, 4, (4, 4, 4), "triangles=1 by_colour=0,0,0,1\n"),
+    (4, 3, (1, 1, 1, 1, 1, 1), "triangles=4 by_colour=4,0,0\n"),
 ])
 def test_count_reports_every_colour(tmp_path, capsys, n, k, entries, want):
     from triflag.graphs import ColouredGraph
