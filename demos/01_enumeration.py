@@ -4,7 +4,7 @@ Counting edge-coloured complete graphs up to isomorphism
 
 """
 
-from triflag import canonical_key, count_models_polya, enumerate_models, key_hex
+from triflag import canonical_key, count_models_polya, enumerate_models
 
 # the number of 3-colourings of K_l up to colour-preserving isomorphism
 for l in range(6):
@@ -19,7 +19,7 @@ for l in range(6):
 # a canonical key is a relabelling-invariant fingerprint
 models = enumerate_models(3, 3)
 for M in models:
-    print(key_hex(canonical_key(M)), M.entries)
+    print(canonical_key(M).hex(), M.entries)
 
 # relabelling never changes the key
 M = models[4]

@@ -26,5 +26,6 @@ print(report_text(report))
 # construction all sit exactly on the boundary
 rows = extremal_zero_report(cert, table)
 occurring = [key for key, lam, occ in rows if occ]
+assert all(lam == 0 for key, lam, occ in rows if occ)
 print("%d models occur in the construction, all with lambda = 0"
       % len(occurring))

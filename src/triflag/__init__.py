@@ -9,20 +9,16 @@ the upper bound is the explicit construction in `extremal`.
 """
 
 from .exact import (SymMatrix, LdlFactorization, PsdVerdict, WitnessError,
-                    InexactDivisionError, ldl_factor, psd_check,
-                    parse_rational, format_rational, rational_reconstruct,
-                    DEFAULT_MAX_DEN)
+                    InexactDivisionError, psd_check, parse_rational,
+                    format_rational, rational_reconstruct, DEFAULT_MAX_DEN)
 from .graphs import (ColouredGraph, SizeLimitError, canonical_form,
                      canonical_key, is_isomorphic, enumerate_models,
-                     count_models_polya, density, family_density, key_hex,
-                     subgraph_class_counts, mono_triangles, mono_k3_family,
-                     goodman, corollary_value, bad_family, format_graph,
-                     parse_graph)
+                     count_models_polya, density, subgraph_class_counts,
+                     mono_triangles, goodman, corollary_value, bad_family,
+                     format_graph, parse_graph)
 from .flags import (TypeSigma, Flag, ten_types, identity_flag,
                     flag_from_vector, vector_of_flag, enumerate_flags,
-                    flag_density, joint_density, avg_coefficient,
-                    unlabel_coefficient, verify_chain_rule, format_flag,
-                    parse_flag)
+                    flag_density, avg_coefficient, verify_chain_rule)
 from .certificate import (Certificate, CertificateBlock, CertificateError,
                           CoefficientTable, VerificationReport,
                           load_certificate, serialize_certificate,
@@ -30,8 +26,7 @@ from .certificate import (Certificate, CertificateBlock, CertificateError,
                           lambda_vector, verify, report_text,
                           extremal_zero_report)
 from .extremal import (ClassPartition, MembershipWitness, pentagon_base,
-                       build_gex, class_sizes, clique_partition_5,
-                       maximal_mono_cliques, is_member_gn, brute_min_mono)
+                       build_gex, class_sizes, is_member_gn, brute_min_mono)
 from .sdp import (SdpProblem, SolverSolution, SdpFormatError, export_sdp,
                   parse_sdp, parse_solution, round_solution)
 

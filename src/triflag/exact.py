@@ -15,11 +15,13 @@ by direct evaluation.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 DEFAULT_MAX_DEN = 10**7
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 class WitnessError(ArithmeticError):
@@ -33,18 +35,16 @@ class InexactDivisionError(ArithmeticError):
 
 
 def parse_rational(token: str) -> Fraction:
-    """Parse "p/q" or "p" (ASCII, no internal whitespace, q > 0) into a
-    Fraction."""
-    token = token.strip()
-    if any(ch.isspace() for ch in token):
-        raise ValueError("whitespace inside rational token: %r" % token)
-    if "/" in token:
-        num, den = token.split("/")
-        num, den = int(num), int(den)
-        if den <= 0:
-            raise ValueError("denominator must be positive: %r" % token)
-        return Fraction(num, den)
-    return Fraction(int(token))
+    """Parse "p/q" or "p" (ASCII digits with an optional sign on p, q > 0)
+    into a Fraction.  Surrounding whitespace is ignored."""
+    match = _RATIONAL.fullmatch(token.strip())
+    if match is None:
+        raise ValueError("not a rational p/q or p: %.40r" % token)
+    num, den = match.groups()
+    den = 1 if den is None else int(den)
+    if den == 0:
+        raise ValueError("denominator must be positive: %.40r" % token)
+    return Fraction(int(num), den)
 
 
 def format_rational(x: Fraction) -> str:
@@ -194,19 +194,6 @@ def _eliminate(M: SymMatrix):
                 [piv * x - a * y for x, y in zip(Ai[i:], Aj[i:])], prev)
         prev = piv
     return L, diag, None
-
-
-def ldl_factor(M: SymMatrix) -> LdlFactorization | None:
-    """Exact LDL^T factorization of a PSD matrix, or None if M is not PSD.
-
-    A zero pivot is accepted only when its whole remaining column is zero
-    (which holds for every PSD matrix); the corresponding L column is a
-    standard basis vector.
-    """
-    L, diag, fail = _eliminate(M)
-    if fail is not None:
-        return None
-    return LdlFactorization(tuple(tuple(r) for r in L), tuple(diag))
 
 
 def psd_check(M: SymMatrix) -> PsdVerdict:

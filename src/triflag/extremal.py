@@ -1,4 +1,5 @@
-"""Extremal constructions and structural checks.
+"""The extremal construction, membership in the extremal family, and the
+exact small-n minimum.
 
 The blow-up construction replaces the vertices of a monochromatic-triangle-
 free (k-1)-colouring of a small complete graph by balanced vertex classes,
@@ -9,7 +10,11 @@ class-filling colour is red.
 
 Membership in the wider extremal family additionally allows recolouring a
 matching between any two classes with the clique colour, as long as no new
-monochromatic triangle appears.
+monochromatic triangle appears.  `is_member_gn` decides membership exactly
+(up to EXACT_PARTITION_MAX_N vertices) by backtracking over the partitions
+of V into five cliques of one colour with the balanced class sizes.
+`brute_min_mono` finds the minimum number of monochromatic triangles over
+all colourings of a small K_n by exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .graphs import (ColouredGraph, SizeLimitError, canonical_key,
                      corollary_value, mono_triangles)
 
 EXACT_PARTITION_MAX_N = 25
-MAX_CLIQUE_N = 40
 
 
 @dataclass(frozen=True)
@@ -105,125 +109,43 @@ def build_gex(n: int, k: int = 3, base: ColouredGraph | None = None) -> Coloured
     return ColouredGraph.from_matrix(rows, k)
 
 
-def _sizes_feasible(classes, size_pool, remaining) -> bool:
+def _sizes_feasible(classes, size_pool) -> bool:
     """Can the current class sizes still grow into the target multiset?
 
-    With both lists sorted in decreasing order, an embedding of classes into
-    distinct targets exists iff the i-th largest class fits under the i-th
-    largest target.
+    With no more classes than targets and both lists sorted in decreasing
+    order, an embedding of classes into distinct targets exists iff the
+    i-th largest class fits under the i-th largest target.
     """
-    if len(classes) > len(size_pool):
-        return False
     current = sorted((len(c) for c in classes), reverse=True)
     return all(c <= p for c, p in zip(current, size_pool))
 
 
-def _partitions_into_cliques(G: ColouredGraph, colour: int, sizes=None,
-                             num_classes: int = 5):
-    """Yield partitions of V(G) into `num_classes` cliques of `colour`
-    (backtracking over vertices in order).  When `sizes` is given the class
-    size multiset must match it exactly."""
+def _partitions_into_cliques(G: ColouredGraph, colour: int, sizes):
+    """Yield partitions of V(G) into cliques of `colour` whose size
+    multiset is exactly `sizes` (backtracking over vertices in order)."""
     n = G.n
     mat = G.matrix()
-    size_pool = sorted(sizes, reverse=True) if sizes is not None else None
-    if size_pool is not None:
-        num_classes = len(size_pool)
+    size_pool = sorted(sizes, reverse=True)
     classes: list[list[int]] = []
-
-    def feasible(remaining):
-        if size_pool is None:
-            return len(classes) <= num_classes and \
-                len(classes) + remaining >= num_classes
-        return _sizes_feasible(classes, size_pool, remaining)
 
     def place(v: int):
         if v == n:
-            if len(classes) == num_classes and (
-                    size_pool is None or
-                    sorted((len(c) for c in classes), reverse=True) == size_pool):
+            if sorted((len(c) for c in classes), reverse=True) == size_pool:
                 yield tuple(frozenset(c) for c in classes)
             return
         for cls in classes:
             if all(mat[v][u] == colour for u in cls):
                 cls.append(v)
-                if feasible(n - v - 1):
+                if _sizes_feasible(classes, size_pool):
                     yield from place(v + 1)
                 cls.pop()
-        if len(classes) < num_classes:
+        if len(classes) < len(size_pool):
             classes.append([v])
-            if feasible(n - v - 1):
+            if _sizes_feasible(classes, size_pool):
                 yield from place(v + 1)
             classes.pop()
 
     yield from place(0)
-
-
-def clique_partition_5(G: ColouredGraph) -> ClassPartition | None:
-    """A partition of V(G) into 5 monochromatic cliques of one colour, or
-    None.  Exact search up to EXACT_PARTITION_MAX_N vertices; above that a
-    greedy maximal-clique heuristic that may miss existing partitions."""
-    if G.n < 5:
-        return None
-    if G.n <= EXACT_PARTITION_MAX_N:
-        for colour in range(1, G.k + 1):
-            for classes in _partitions_into_cliques(G, colour):
-                part = ClassPartition(classes, colour)
-                if part.validate(G):
-                    return part
-        return None
-    return _greedy_partition(G)
-
-
-def _greedy_partition(G: ColouredGraph) -> ClassPartition | None:
-    for colour in range(1, G.k + 1):
-        remaining = set(range(G.n))
-        classes = []
-        while remaining and len(classes) < 5:
-            best = max(_mono_cliques(G, colour, remaining), key=len)
-            classes.append(frozenset(best))
-            remaining -= best
-        if not remaining and len(classes) == 5:
-            part = ClassPartition(tuple(classes), colour)
-            if part.validate(G):
-                return part
-    return None
-
-
-def _mono_cliques(G: ColouredGraph, colour: int, vertices) -> list[set]:
-    """All maximal cliques of `colour` inside `vertices` (Bron-Kerbosch
-    with pivoting over per-colour adjacency sets)."""
-    adj = {v: {u for u in vertices if u != v and G.colour(u, v) == colour}
-           for v in vertices}
-    out = []
-
-    def expand(clique, cand, excluded):
-        if not cand and not excluded:
-            out.append(clique)
-            return
-        pivot = max(cand | excluded, key=lambda u: len(adj[u] & cand))
-        for v in list(cand - adj[pivot]):
-            expand(clique | {v}, cand & adj[v], excluded & adj[v])
-            cand.remove(v)
-            excluded.add(v)
-
-    expand(set(), set(vertices), set())
-    return out
-
-
-def maximal_mono_cliques(G: ColouredGraph, min_size: int = 4) -> list[tuple]:
-    """All inclusion-maximal monochromatic cliques of size >= min_size,
-    as (frozenset, colour) pairs.  Cliques of different colours may
-    intersect."""
-    if G.n > MAX_CLIQUE_N:
-        raise SizeLimitError("maximal clique search limited to n <= %d"
-                             % MAX_CLIQUE_N)
-    out = []
-    for colour in range(1, G.k + 1):
-        for clique in _mono_cliques(G, colour, range(G.n)):
-            if len(clique) >= min_size:
-                out.append((frozenset(clique), colour))
-    out.sort(key=lambda t: (t[1], sorted(t[0])))
-    return out
 
 
 def is_member_gn(G: ColouredGraph):

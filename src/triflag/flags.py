@@ -4,8 +4,8 @@ A type is a fully labelled coloured complete graph on {1..s}; a flag is a
 coloured complete graph together with an injective, colour-respecting
 embedding of a type.  Flag isomorphisms fix the labels pointwise.  The
 operations here are the finite, exactly-computable quantities behind the
-certificate check: flag densities, joint densities, the unlabelling
-coefficient, and the probabilistic product coefficient over a larger model.
+certificate check: flag densities, the chain rule that relates them, and
+the probabilistic product coefficient over a larger model.
 """
 
 from __future__ import annotations
@@ -187,32 +187,6 @@ def flag_density(F: Flag, G: Flag) -> Fraction:
     return Fraction(hits, total)
 
 
-def joint_density(F1: Flag, F2: Flag, G: Flag) -> Fraction:
-    """Probability that two random subsets, overlapping exactly in the
-    labelled vertices and of sizes |F1| and |F2|, induce F1 and F2."""
-    _check_same_type(F1, F2)
-    _check_same_type(F1, G)
-    s = F1.type_size
-    l1, l2, m = F1.model.n, F2.model.n, G.model.n
-    if m < l1 + l2 - s:
-        raise ValueError("|G| too small for the joint experiment")
-    k1, k2 = F1.key(), F2.key()
-    rest = [v for v in range(m) if v not in G.theta]
-    hits = 0
-    total = 0
-    for A in combinations(rest, l1 - s):
-        remaining = [v for v in rest if v not in A]
-        for B in combinations(remaining, l2 - s):
-            total += 1
-            fa = _induced_flag(G.model, G.theta, list(G.theta) + list(A))
-            if fa.key() != k1:
-                continue
-            fb = _induced_flag(G.model, G.theta, list(G.theta) + list(B))
-            if fb.key() == k2:
-                hits += 1
-    return Fraction(hits, total)
-
-
 def avg_coefficient(tau: TypeSigma, K1: Flag, K2: Flag,
                     L: ColouredGraph) -> Fraction:
     """Coefficient of L in the unlabelled flag product of K1 and K2.
@@ -279,25 +253,6 @@ def triangle_pair_counts(tau: TypeSigma, L: ColouredGraph):
     return counts, valid
 
 
-def unlabel_coefficient(F: Flag) -> Fraction:
-    """Probability that a random injective labelling of F's model induces
-    F's type and gives a flag isomorphic to F."""
-    s = F.type_size
-    n = F.model.n
-    sigma = F.flag_type()
-    fk = F.key()
-    mat = F.model.matrix()
-    hits = 0
-    total = 0
-    for theta in permutations(range(n), s):
-        total += 1
-        if not _respects(mat, sigma, theta):
-            continue
-        if Flag(F.model, theta).key() == fk:
-            hits += 1
-    return Fraction(hits, total) if total else Fraction(1)
-
-
 def verify_chain_rule(F: Flag, m: int, H: Flag) -> bool:
     """Check p(F, H) = sum over l=m flags G of p(F, G) p(G, H), exactly.
 
@@ -321,20 +276,3 @@ def verify_chain_rule(F: Flag, m: int, H: Flag) -> bool:
             rhs += flag_density(F, G) * Fraction(hits, total)
     return lhs == rhs
 
-
-def format_flag(F: Flag) -> str:
-    """Flag text format: the model in graph text format, then a "theta" line
-    with the 1-based labelled vertices."""
-    from .graphs import format_graph
-    theta = " ".join(str(v + 1) for v in F.theta)
-    return format_graph(F.model) + "theta " + theta + "\n"
-
-
-def parse_flag(text: str) -> Flag:
-    from .graphs import parse_graph
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[-1].startswith("theta"):
-        raise ValueError("missing theta line")
-    theta = tuple(int(tok) - 1 for tok in lines[-1].split()[1:])
-    model = parse_graph("\n".join(lines[:-1]))
-    return Flag(model, theta)

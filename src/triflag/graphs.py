@@ -74,12 +74,6 @@ class ColouredGraph:
         ent = [rows[i][j] for i in range(n) for j in range(i + 1, n)]
         return cls(n, k, ent)
 
-    @classmethod
-    def from_edge_colours(cls, n: int, colouring, k: int = 3) -> "ColouredGraph":
-        """Build from a mapping {(i, j): colour} over all pairs i < j."""
-        ent = [colouring[i, j] for i in range(n) for j in range(i + 1, n)]
-        return cls(n, k, ent)
-
     def colour(self, i: int, j: int) -> int:
         if i == j:
             return 0
@@ -207,10 +201,6 @@ def canonical_form(G: ColouredGraph):
 
 def canonical_key(G: ColouredGraph) -> bytes:
     return canonical_form(G)[0]
-
-
-def key_hex(key: bytes) -> str:
-    return key.hex()
 
 
 def is_isomorphic(G: ColouredGraph, H: ColouredGraph) -> bool:
@@ -391,25 +381,6 @@ def density(H: ColouredGraph, G: ColouredGraph) -> Fraction:
     return Fraction(counts.get(hk, 0), math.comb(G.n, H.n))
 
 
-def family_density(family, G: ColouredGraph) -> Fraction:
-    """Sum of densities of a family of same-size, pairwise non-isomorphic
-    coloured graphs."""
-    family = list(family)
-    if not family:
-        return Fraction(0)
-    size = family[0].n
-    keys = []
-    for H in family:
-        if H.n != size:
-            raise ValueError("family members must share one size")
-        keys.append(canonical_key(H))
-    if len(set(keys)) != len(keys):
-        raise ValueError("family contains isomorphic duplicates")
-    counts = subgraph_class_counts(G, size)
-    total = sum(counts.get(key, 0) for key in keys)
-    return Fraction(total, math.comb(G.n, size))
-
-
 def mono_triangles(G: ColouredGraph) -> dict:
     """Exact monochromatic-triangle counts, per colour and total."""
     per = dict.fromkeys(range(1, G.k + 1), 0)
@@ -419,11 +390,6 @@ def mono_triangles(G: ColouredGraph) -> dict:
             per[mat[a][b]] += 1
     per["total"] = sum(per[c] for c in range(1, G.k + 1))
     return per
-
-
-def mono_k3_family(k: int = 3) -> list[ColouredGraph]:
-    """The monochromatic triangles, one per colour."""
-    return [ColouredGraph(3, k, (c, c, c)) for c in range(1, k + 1)]
 
 
 def goodman(n: int) -> int:
@@ -468,15 +434,6 @@ def bad_family() -> list[ColouredGraph]:
                 members.append(M)
                 break
     return members
-
-
-def neighbourhood(G: ColouredGraph, v: int, c: int) -> set:
-    """Vertices joined to v by an edge of colour c."""
-    if not 0 <= v < G.n:
-        raise ValueError("vertex out of range")
-    if not 1 <= c <= G.k:
-        raise ValueError("colour out of range")
-    return {u for u in range(G.n) if u != v and G.colour(u, v) == c}
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ identical to the coefficient table's.
 from __future__ import annotations
 
 import decimal
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -148,6 +149,8 @@ def parse_solution(path) -> SolverSolution:
     except ValueError as exc:
         raise SdpFormatError("line %d: bad value in dual vector: %s"
                              % (ln, exc)) from exc
+    if not all(map(math.isfinite, y)):
+        raise SdpFormatError("line %d: non-finite value in dual vector" % ln)
     if len(y) != NUM_MODELS:
         raise SdpFormatError("line %d: dual vector has %d entries, expected %d"
                              % (ln, len(y), NUM_MODELS))
@@ -164,6 +167,9 @@ def parse_solution(path) -> SolverSolution:
             val = float(toks[4])
         except ValueError as exc:
             raise SdpFormatError("line %d: %s" % (ln, exc)) from exc
+        if not math.isfinite(val):        # inf, nan, or overflow like 1e400
+            raise SdpFormatError("line %d: non-finite value %.40r"
+                                 % (ln, toks[4]))
         if matno == 1:
             continue
         if matno != 2:
@@ -224,16 +230,23 @@ def round_solution(blocks, max_den: int = DEFAULT_MAX_DEN,
     if template is None:
         template = load_shipped_certificate()
     out = []
-    for tb, numeric in zip(template.blocks, blocks):
+    for b, (tb, numeric) in enumerate(zip(template.blocks, blocks), 1):
         if len(numeric) != NUM_FLAGS or any(len(r) != NUM_FLAGS
                                             for r in numeric):
             raise ValueError("blocks must be %dx%d" % (NUM_FLAGS, NUM_FLAGS))
         rows = [[Fraction(0)] * NUM_FLAGS for _ in range(NUM_FLAGS)]
-        for i in range(NUM_FLAGS):
-            rows[i][i] = rational_reconstruct(numeric[i][i], max_den)
-            for j in range(i + 1, NUM_FLAGS):
-                avg = (Fraction(numeric[i][j]) + Fraction(numeric[j][i])) / 2
-                rows[i][j] = rows[j][i] = rational_reconstruct(avg, max_den)
+        try:
+            for i in range(NUM_FLAGS):
+                rows[i][i] = rational_reconstruct(numeric[i][i], max_den)
+                for j in range(i + 1, NUM_FLAGS):
+                    avg = (Fraction(numeric[i][j])
+                           + Fraction(numeric[j][i])) / 2
+                    val = rational_reconstruct(avg, max_den)
+                    rows[i][j] = rows[j][i] = val
+        except (OverflowError, ValueError) as exc:
+            # Fraction() of an infinity raises OverflowError, of a nan
+            # ValueError
+            raise ValueError("block %d: %s" % (b, exc)) from exc
         out.append(CertificateBlock(tb.type_sigma, tb.vectors, tb.flags,
                                     SymMatrix(rows)))
     return Certificate(TARGET_BOUND, tuple(out))

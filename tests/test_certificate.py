@@ -107,6 +107,43 @@ def test_loader_rejects_bad_header():
         load_certificate("FLAGCERT 2\nBOUND 1/25\n")
 
 
+HOSTILE_TOKENS = ["x", "1/2", "Q", "9" * 5000, "1_0", "\uff19", "\u0663",
+                  "", "-1", "0", "4", "1/0", "+2", "2.0", "TYPE", "nan"]
+
+
+def _mutant(lines, rng):
+    """One random edit of a certificate's lines: a token replaced by a
+    hostile one, or a line dropped, doubled or moved."""
+    out = list(lines)
+    i = rng.randrange(len(out))
+    kind = rng.randrange(4)
+    if kind == 0:
+        toks = out[i].split() or [""]
+        toks[rng.randrange(len(toks))] = rng.choice(HOSTILE_TOKENS)
+        out[i] = " ".join(toks)
+    elif kind == 1:
+        del out[i]
+    elif kind == 2:
+        out.insert(i, out[i])
+    else:
+        out.insert(rng.randrange(len(out)), out.pop(i))
+    return "\n".join(out) + "\n"
+
+
+def test_loader_mutation_fuzz_raises_only_certificate_error(shipped_cert):
+    lines = serialize_certificate(shipped_cert).splitlines()
+    rng = random.Random(2012)
+    for case in range(100):
+        text = _mutant(lines, rng)
+        try:
+            load_certificate(text)
+        except CertificateError:
+            pass
+        except Exception as exc:
+            pytest.fail("case %d: %s escaped: %.200s"
+                        % (case, type(exc).__name__, exc))
+
+
 def test_table_identity_entries(shipped_cert, shipped_table):
     key = bytes(all_red_k5().entries)
     block0 = shipped_cert.blocks[0]
@@ -313,3 +350,13 @@ def test_extremal_zero_report(shipped_cert, shipped_report):
             M = ColouredGraph(5, 3, tuple(key))
             per = mono_triangles(M)
             assert per[2] == 0 and per[3] == 0
+
+
+def test_extremal_zero_report_reports_a_slack_bound(shipped_cert,
+                                                    shipped_table):
+    lowered = Certificate(shipped_cert.bound - Fraction(1, 10**7),
+                          shipped_cert.blocks)
+    assert verify(lowered, shipped_table).verified
+    rows = cert_mod.extremal_zero_report(lowered, shipped_table)
+    assert len(rows) == 792
+    assert sum(1 for _, lam, occ in rows if occ and lam != 0) == 16

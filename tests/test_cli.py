@@ -242,6 +242,18 @@ def test_sdp_round_bad_solution(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "1e400", "nan"])
+def test_sdp_round_non_finite_value(tmp_path, capsys, value):
+    sol = tmp_path / "sol.txt"
+    lines = [" ".join(["0"] * 792)]
+    lines += ["2 1 %d %d 1.0" % (i, i) for i in range(1, 28)]
+    lines.append("2 1 1 2 " + value)             # line 29
+    sol.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "sdp-round", str(sol))
+    assert code == 2
+    assert "line 29: non-finite value" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

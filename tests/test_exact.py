@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from triflag import exact
 from triflag.exact import (InexactDivisionError, SymMatrix, WitnessError,
-                           format_rational, ldl_factor, parse_rational,
+                           format_rational, parse_rational,
                            psd_check, rational_reconstruct)
 
 F = Fraction
@@ -51,7 +51,10 @@ def test_parse_format_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "1/2/3", "a/b", "1 /2", "1/0", "3/-2"]:
+    # int() alone would take "1_0" as 10 and read full-width and
+    # Arabic-Indic digits
+    for bad in ["", "1/2/3", "a/b", "1 /2", "1/0", "3/-2", "1_0", "1/2_0",
+                "\uff19", "\u0663", "3/\u0663", "0x10", "1e3", "2.5"]:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
@@ -67,21 +70,21 @@ def test_symmatrix_validation():
 
 
 def test_ldl_diagonal():
-    fact = ldl_factor(SymMatrix([[2, 0], [0, 3]]))
+    fact = psd_check(SymMatrix([[2, 0], [0, 3]])).factorization
     assert fact.diag == (F(2), F(3))
     assert fact.lower == ((F(1), F(0)), (F(0), F(1)))
 
 
 def test_ldl_singular_psd():
-    fact = ldl_factor(SymMatrix([[1, 1], [1, 1]]))
+    fact = psd_check(SymMatrix([[1, 1], [1, 1]])).factorization
     assert fact.diag == (F(1), F(0))
     assert fact.reconstruct() == SymMatrix([[1, 1], [1, 1]])
 
 
 def test_ldl_zero_pivot_nonzero_row():
-    assert ldl_factor(SymMatrix([[0, 1], [1, 0]])) is None
     verdict = psd_check(SymMatrix([[0, 1], [1, 0]]))
     assert not verdict.is_psd
+    assert verdict.factorization is None
     assert verdict.failed_pivot == 0
 
 

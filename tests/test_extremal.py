@@ -1,14 +1,11 @@
-import random
-from itertools import combinations
-
 import pytest
 
 from triflag.extremal import (brute_min_mono, build_gex, class_sizes,
-                              clique_partition_5, is_member_gn,
-                              maximal_mono_cliques, pentagon_base)
+                              is_member_gn, pentagon_base)
 from triflag.graphs import (ColouredGraph, SizeLimitError, bad_family,
-                            canonical_key, corollary_value, family_density,
-                            goodman, is_isomorphic, mono_triangles)
+                            canonical_key, corollary_value, goodman,
+                            is_isomorphic, mono_triangles,
+                            subgraph_class_counts)
 
 
 def test_pentagon_base_properties():
@@ -61,7 +58,8 @@ def test_count_identity_over_range():
 
 
 def test_gex_has_no_bad_subgraphs():
-    assert family_density(bad_family(), build_gex(10)) == 0
+    four_classes = subgraph_class_counts(build_gex(10), 4)
+    assert not four_classes.keys() & {canonical_key(H) for H in bad_family()}
 
 
 def test_membership_of_constructions():
@@ -114,49 +112,6 @@ def test_membership_is_colour_permutation_invariant():
 
 def test_membership_rejects_wrong_counts():
     assert not is_member_gn(ColouredGraph(6, 3, (1,) * 15))[0]
-
-
-def test_clique_partition_examples():
-    part = clique_partition_5(build_gex(15))
-    assert part is not None
-    assert sorted(len(c) for c in part.classes) == [3, 3, 3, 3, 3]
-    part = clique_partition_5(pentagon_base())
-    assert part is not None
-    assert all(len(c) == 1 for c in part.classes)
-    assert clique_partition_5(ColouredGraph(6, 3, (2,) * 15)) is not None
-    assert clique_partition_5(ColouredGraph(3, 3, (1, 1, 1))) is None
-    part = clique_partition_5(build_gex(30))        # greedy search, n > 25
-    assert part is not None and part.colour == 1
-    assert sorted(len(c) for c in part.classes) == [6, 6, 6, 6, 6]
-
-
-def test_maximal_mono_cliques():
-    cliques = maximal_mono_cliques(build_gex(25))
-    assert len(cliques) == 5
-    assert all(colour == 1 and len(vs) == 5 for vs, colour in cliques)
-    assert maximal_mono_cliques(pentagon_base()) == []
-    big = maximal_mono_cliques(ColouredGraph(6, 3, (1,) * 15))
-    assert len(big) == 1 and len(big[0][0]) == 6
-
-
-def _brute_maximal_cliques(G, colour):
-    cliques = [set(S) for r in range(1, G.n + 1)
-               for S in combinations(range(G.n), r)
-               if all(G.colour(u, v) == colour for u, v in combinations(S, 2))]
-    return {frozenset(c) for c in cliques if not any(c < d for d in cliques)}
-
-
-def test_maximal_mono_cliques_match_subset_enumeration():
-    rng = random.Random(11)
-    for n in range(1, 9):
-        for _ in range(6):
-            G = ColouredGraph(n, 3, [rng.randint(1, 3)
-                                     for _ in range(n * (n - 1) // 2)])
-            found = maximal_mono_cliques(G, min_size=1)
-            assert len(set(found)) == len(found)
-            for colour in (1, 2, 3):
-                assert {vs for vs, c in found if c == colour} == \
-                    _brute_maximal_cliques(G, colour)
 
 
 def test_brute_min_two_colours_matches_goodman():

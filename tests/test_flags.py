@@ -4,10 +4,8 @@ from fractions import Fraction
 import pytest
 
 from triflag.flags import (Flag, avg_coefficient, enumerate_flags,
-                           flag_density, flag_from_vector, format_flag,
-                           identity_flag, joint_density, parse_flag,
-                           ten_types, triangle_pair_counts,
-                           unlabel_coefficient, vector_of_flag,
+                           flag_density, flag_from_vector, identity_flag,
+                           ten_types, triangle_pair_counts, vector_of_flag,
                            verify_chain_rule)
 from triflag.graphs import ColouredGraph, canonical_key, enumerate_models
 
@@ -84,19 +82,6 @@ def test_flag_density_basics():
         flag_density(f111, Flag(mono_kn(5, 2), (0, 1, 2)))
 
 
-def test_joint_density_examples():
-    one = identity_flag(SIGMA1)
-    assert joint_density(one, one, one) == 1
-    f111 = flag_from_vector(SIGMA1, (1, 1, 1))
-    assert joint_density(f111, f111, Flag(mono_kn(5, 1), (0, 1, 2))) == 1
-    # green edge from a labelled vertex to an unlabelled one: whichever
-    # side receives the green-incident vertex fails
-    rows = [[0 if i == j else 1 for j in range(5)] for i in range(5)]
-    rows[0][3] = rows[3][0] = 3
-    off = Flag(ColouredGraph.from_matrix(rows), (0, 1, 2))
-    assert joint_density(f111, f111, off) == 0
-
-
 def test_avg_coefficient_examples():
     f111 = flag_from_vector(SIGMA1, (1, 1, 1))
     assert avg_coefficient(SIGMA1, f111, f111, mono_kn(5, 1)) == 1
@@ -131,15 +116,6 @@ def test_triangle_pair_counts_matches_avg_coefficient():
                 assert got == Fraction(c, 120)
 
 
-def test_unlabel_coefficient_examples():
-    f = Flag(mono_kn(4, 1), (0, 1, 2))
-    assert unlabel_coefficient(f) == 1
-    sigma5 = ten_types()[4]         # colours 1, 2, 3: no symmetry
-    assert unlabel_coefficient(identity_flag(sigma5)) == Fraction(1, 6)
-    # fully symmetric type: every labelling works
-    assert unlabel_coefficient(identity_flag(SIGMA1)) == 1
-
-
 def test_chain_rule_degenerate():
     rng = random.Random(5)
     H = Flag(ColouredGraph(6, 3, tuple(rng.randint(1, 3)
@@ -160,10 +136,3 @@ def test_chain_rule_flagged():
     H = Flag(M, (0, 1, 2))
     F = flag_from_vector(SIGMA1, (1, 2, 3))
     assert verify_chain_rule(F, 4, H)
-
-
-def test_flag_text_round_trip():
-    F = flag_from_vector(SIGMA1, (1, 2, 3))
-    assert parse_flag(format_flag(F)) == F
-    with pytest.raises(ValueError):
-        parse_flag("3 3\n0 1 1\n1 0 1\n1 1 0\n")

@@ -92,6 +92,14 @@ def test_parse_solution_errors(tmp_path):
     _write_solution(path, [])
     with pytest.raises(SdpFormatError, match="no matrix entries"):
         parse_solution(path)
+    for value in ("inf", "-inf", "1e400", "nan"):
+        _write_solution(path, ["2 1 1 1 1.0", "1 1 1 1 " + value])
+        with pytest.raises(SdpFormatError, match="line 3: non-finite"):
+            parse_solution(path)
+        path.write_text(" ".join(["0.0"] * (NUM_MODELS - 1) + [value])
+                        + "\n2 1 1 1 1.0\n")
+        with pytest.raises(SdpFormatError, match="line 1: .*non-finite"):
+            parse_solution(path)
 
 
 def _perturbed_blocks(cert, amplitude, seed=0):
@@ -130,6 +138,16 @@ def test_round_solution_all_zero_blocks_fail(shipped_table):
     report = verify(zero, shipped_table)
     assert not report.verified
     assert report.negative_lambda_keys
+
+
+@pytest.mark.parametrize("cell, value", [((0, 0), float("inf")),
+                                         ((3, 5), float("-inf")),
+                                         ((3, 5), float("nan"))])
+def test_round_solution_rejects_non_finite(cell, value):
+    blocks = [[[0.0] * 27 for _ in range(27)] for _ in range(10)]
+    blocks[2][cell[0]][cell[1]] = value
+    with pytest.raises(ValueError, match="block 3: "):
+        round_solution(blocks)
 
 
 def test_round_solution_validates_shape():
