@@ -8,6 +8,13 @@ is a semidefinite certificate checked here in exact rational arithmetic;
 the upper bound is the explicit construction in `extremal`.
 """
 
+import os as _os
+
+# Set before any submodule imports numpy.  The only BLAS work in the package
+# is one small eigensolve per PSD block in `exact`, too small to share out;
+# an idle OpenBLAS thread pool beside it only burns CPU.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .exact import (SymMatrix, LdlFactorization, PsdVerdict, WitnessError,
                     InexactDivisionError, psd_check, parse_rational,
                     format_rational, rational_reconstruct, DEFAULT_MAX_DEN)

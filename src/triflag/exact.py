@@ -1,15 +1,23 @@
 """Exact rational arithmetic helpers: symmetric matrices, LDL^T factorization,
 positive-semidefiniteness certificates and bounded-denominator rounding.
 
-All arithmetic is exact, in integers and `fractions.Fraction`; no floating
-point value ever enters a verdict.  The PSD test is a symmetric LDL^T
-elimination without pivoting: a symmetric matrix is PSD iff elimination runs
-to completion with every pivot >= 0, where a zero pivot is only legal when its
+Verdicts are exact, in integers and `fractions.Fraction`; no floating point
+value ever decides one.  The PSD test is a symmetric LDL^T elimination
+without pivoting: a symmetric matrix is PSD iff elimination runs to
+completion with every pivot >= 0, where a zero pivot is only legal when its
 entire remaining row is zero.  The elimination itself is fraction-free
 (Bareiss) on an integer matrix congruent to the input, so it keeps the
 inertia; the rational factors are read back from it.  When the test fails we
 return an explicit rational witness v with v^T M v < 0 that can be re-checked
 by direct evaluation.
+
+A float may only propose such a witness.  Before eliminating, `psd_check`
+asks a float64 eigensolver for a clearly negative eigenvalue; its
+eigenvector, rounded to an integer vector v, is a NotPSD verdict only when
+the exact sum v^T M v is negative.  Every other case, and every PSD verdict
+with its rank and factorization, comes from the elimination alone.  This is
+the "numeric solve, exact check" pattern of Peyrl and Parrilo (2008), and it
+spares the elimination's long minors on blocks that are far from PSD.
 """
 
 from __future__ import annotations
@@ -20,8 +28,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 DEFAULT_MAX_DEN = 10**7
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# A proposed eigenvector is scaled to this largest entry and rounded.  The
+# rounding moves v^T M v by at most n |M| / 4 + |v| sqrt(n) |lambda|, far
+# below |v|^2 |lambda| >= 2^60 |lambda| > 256 n |M| once lambda is past the
+# gate lambda < -n eps |M| of `_proposed_witness`.
+_WITNESS_SCALE = 2**30
+_EPS = float(np.finfo(float).eps)
 
 
 class WitnessError(ArithmeticError):
@@ -129,7 +145,6 @@ class LdlFactorization:
 class PsdVerdict:
     is_psd: bool
     witness: tuple | None = None        # rational v with v^T M v < 0
-    failed_pivot: int | None = None     # elimination step where PSD failed
     factorization: LdlFactorization | None = None
     rank: int | None = None             # nonzero pivots, when PSD
 
@@ -196,8 +211,41 @@ def _eliminate(M: SymMatrix):
     return L, diag, None
 
 
+def _proposed_witness(M: SymMatrix) -> tuple | None:
+    """An integer vector v with v^T M v < 0, checked exactly, proposed by
+    the float64 eigenvector of a clearly negative eigenvalue; None when
+    the float step proposes nothing or its proposal fails the exact check."""
+    n = M.dim
+    if n == 0:
+        return None
+    try:
+        A = np.array([[x.numerator / x.denominator for x in row]
+                      for row in M.rows])
+        w = np.linalg.eigvalsh(A)
+        # Only an eigenvalue below -n eps max|eigenvalue|, past the solver's
+        # own backward error, proposes a witness: the shipped blocks, PSD
+        # with smallest eigenvalues near -1e-15 against a norm near 35, go
+        # straight to the elimination without paying for eigenvectors.  The
+        # test is also false on a non-finite value.
+        if not w[0] < -n * _EPS * np.abs(w).max():
+            return None
+        u = np.linalg.eigh(A)[1][:, 0]
+    except (OverflowError, np.linalg.LinAlgError):
+        return None
+    top = np.abs(u).max()
+    if not (np.isfinite(u).all() and top > 0):
+        return None
+    v = [int(x) for x in np.rint(u / top * _WITNESS_SCALE)]
+    g = math.gcd(*v)          # >= 1: the largest entry rounds to +-2^30
+    v = tuple(Fraction(x // g) for x in v)
+    return v if M.quadratic_form(v) < 0 else None
+
+
 def psd_check(M: SymMatrix) -> PsdVerdict:
     """Exact PSD test.  NotPSD verdicts carry a rational witness vector."""
+    witness = _proposed_witness(M)
+    if witness is not None:
+        return PsdVerdict(is_psd=False, witness=witness)
     L, diag, fail = _eliminate(M)
     if fail is None:
         fact = LdlFactorization(tuple(tuple(r) for r in L), tuple(diag))
@@ -231,7 +279,7 @@ def psd_check(M: SymMatrix) -> PsdVerdict:
     if not M.quadratic_form(v) < 0:
         raise WitnessError("witness for the pivot at step %d is not negative"
                            % step)
-    return PsdVerdict(is_psd=False, witness=tuple(v), failed_pivot=step)
+    return PsdVerdict(is_psd=False, witness=tuple(v))
 
 
 def rational_reconstruct(x, max_den: int = DEFAULT_MAX_DEN) -> Fraction:

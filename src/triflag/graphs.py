@@ -23,16 +23,15 @@ for every n.
 from __future__ import annotations
 
 import math
-import os
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-# No BLAS work is done here; an idle OpenBLAS thread pool only burns CPU.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 CANON_MAX_N = 10       # exhaustive canonicalization limit
+_DECIMAL = re.compile(r"[0-9]+")
 _BATCH_BYTES = 1 << 20  # bytes of relabelled listings per gather (min. one row)
 
 
@@ -448,15 +447,24 @@ def format_graph(G: ColouredGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimals(line: str) -> list:
+    """The tokens of a graph-file line: unsigned ASCII decimal integers
+    (bare int() would also take "1_0" and non-ASCII digits)."""
+    toks = line.split()
+    bad = next((t for t in toks if not _DECIMAL.fullmatch(t)), None)
+    if bad is not None:
+        raise ValueError("not a decimal integer: %.40r" % bad)
+    return [int(t) for t in toks]
+
+
 def parse_graph(text: str) -> ColouredGraph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty graph text")
-    head = lines[0].split()
+    head = _decimals(lines[0])
     if len(head) != 2:
         raise ValueError("header must be 'n k'")
-    n, k = int(head[0]), int(head[1])
+    n, k = head
     if len(lines) != n + 1:
         raise ValueError("expected %d matrix rows, got %d" % (n, len(lines) - 1))
-    rows = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
-    return ColouredGraph.from_matrix(rows, k)
+    return ColouredGraph.from_matrix([_decimals(ln) for ln in lines[1:]], k)

@@ -34,6 +34,9 @@ from .exact import DEFAULT_MAX_DEN, SymMatrix, rational_reconstruct
 NUM_MODELS = 792
 NUM_BLOCKS = 11          # ten flag blocks + one diagonal slack block
 SIG_DIGITS = 40
+# Largest decimal exponent in a problem file, as CPython's int digit limit:
+# 1e999999999 would otherwise build a billion-digit integer.
+_MAX_EXPONENT = 4300
 
 TARGET_BOUND = Fraction(1, 25)
 
@@ -95,6 +98,16 @@ def export_sdp(table: CoefficientTable, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _decimal_fraction(token: str) -> Fraction:
+    """The exact value of a finite decimal token with a bounded exponent."""
+    d = decimal.Decimal(token)
+    if not d.is_finite():
+        raise ValueError("non-finite value %.40r" % token)
+    if abs(d.adjusted()) > _MAX_EXPONENT:
+        raise ValueError("exponent beyond %d: %.40r" % (_MAX_EXPONENT, token))
+    return Fraction(d)
+
+
 def parse_sdp(path) -> SdpProblem:
     """Re-read an exported problem file; used for round-trip checks."""
     with open(path) as fh:
@@ -107,10 +120,14 @@ def parse_sdp(path) -> SdpProblem:
         m = int(lines[0][1])
         nblocks = int(lines[1][1])
         sizes = tuple(int(t) for t in lines[2][1].split())
-        rhs = tuple(Fraction(decimal.Decimal(t))
-                    for t in lines[3][1].split())
-    except (ValueError, decimal.InvalidOperation) as exc:
+    except ValueError as exc:
         raise SdpFormatError("bad problem header: %s" % exc) from exc
+    ln, text = lines[3]
+    try:
+        rhs = tuple(_decimal_fraction(t) for t in text.split())
+    except (ValueError, decimal.InvalidOperation) as exc:
+        raise SdpFormatError("line %d: bad right-hand side: %s"
+                             % (ln, exc)) from exc
     if len(sizes) != nblocks:
         raise SdpFormatError("block size count does not match nblocks")
     if len(rhs) != m:
@@ -123,7 +140,7 @@ def parse_sdp(path) -> SdpProblem:
             raise SdpFormatError("line %d: expected 5 fields" % ln)
         try:
             matno, blkno, i, j = (int(t) for t in toks[:4])
-            val = Fraction(decimal.Decimal(toks[4]))
+            val = _decimal_fraction(toks[4])
         except (ValueError, decimal.InvalidOperation) as exc:
             raise SdpFormatError("line %d: %s" % (ln, exc)) from exc
         entries[matno, blkno, i, j] = val

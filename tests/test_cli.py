@@ -130,6 +130,22 @@ def test_openblas_threads_default_to_one(monkeypatch, setting, want):
     assert proc.stdout == want + "\n"
 
 
+@pytest.mark.parametrize("module", ["triflag.exact", "triflag.graphs"])
+def test_openblas_default_is_set_before_numpy_loads(monkeypatch, module):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    code = ("import os, sys\n"
+            "seen = []\n"
+            "def hook(event, args):\n"
+            "    if event == 'import' and args[0] == 'numpy':\n"
+            "        seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "sys.addaudithook(hook)\n"
+            "import %s\n"
+            "print(seen[:1])\n" % module)
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['1']\n"
+
+
 def test_cli_import_leaves_networkx_unloaded():
     proc = run_python("-c", "import sys, triflag.cli; "
                             "sys.exit('networkx' in sys.modules)")
@@ -166,6 +182,15 @@ def test_count_reports_every_colour(tmp_path, capsys, n, k, entries, want):
     code, stdout, _ = run(capsys, "count", str(path))
     assert code == 0
     assert stdout == want
+
+
+def test_count_rejects_non_ascii_digits(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text(format_graph(build_gex(5)).replace("3", "\u0663"))
+    code, stdout, err = run(capsys, "count", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert "not a decimal integer" in err
 
 
 def test_enumerate_size_limit(capsys):

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triflag import exact
+from triflag import exact, round_solution
 from triflag.exact import (InexactDivisionError, SymMatrix, WitnessError,
                            format_rational, parse_rational,
                            psd_check, rational_reconstruct)
@@ -82,10 +84,11 @@ def test_ldl_singular_psd():
 
 
 def test_ldl_zero_pivot_nonzero_row():
-    verdict = psd_check(SymMatrix([[0, 1], [1, 0]]))
+    m = SymMatrix([[0, 1], [1, 0]])
+    verdict = psd_check(m)
     assert not verdict.is_psd
     assert verdict.factorization is None
-    assert verdict.failed_pivot == 0
+    assert exact._eliminate(m)[2] == (0, "zero_pivot", 1)
 
 
 def test_psd_identity_and_negative():
@@ -120,6 +123,11 @@ def small_matrices(draw, n=5):
             for _ in range(n)]
 
 
+def eliminate_spy():
+    """`exact._eliminate`, wrapped so a test can count its calls."""
+    return mock.patch.object(exact, "_eliminate", wraps=exact._eliminate)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_matrices())
 def test_gram_matrices_are_psd(rows):
@@ -127,7 +135,9 @@ def test_gram_matrices_are_psd(rows):
     gram = [[sum(rows[k][i] * rows[k][j] for k in range(n))
              for j in range(n)] for i in range(n)]
     m = SymMatrix(gram)
-    verdict = psd_check(m)
+    with eliminate_spy() as spy:
+        verdict = psd_check(m)
+    assert spy.call_count == 1
     assert verdict.is_psd
     assert verdict.factorization.reconstruct() == m
 
@@ -212,9 +222,126 @@ def test_integer_elimination_matches_fraction_oracle(rows):
         assert verdict.rank == sum(1 for d in diag if d)
         assert verdict.factorization.reconstruct() == m
     else:
-        assert verdict.failed_pivot == fail[0]
         assert verdict.rank is None
         assert m.quadratic_form(verdict.witness) < 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_symmetric(max_n=8))
+def test_proposed_witness_agrees_with_fraction_oracle(rows):
+    # a NotPSD verdict given without elimination must be one the oracle
+    # gives too, with a witness that checks by direct evaluation
+    m = SymMatrix(rows)
+    with eliminate_spy() as spy:
+        verdict = psd_check(m)
+    if spy.call_count == 0:
+        assert not verdict.is_psd
+        assert fraction_eliminate(m)[2] is not None
+        assert m.quadratic_form(verdict.witness) < 0
+
+
+class Eliminated(Exception):
+    pass
+
+
+def _refuse_elimination(M):
+    raise Eliminated
+
+
+def test_coarse_rounded_blocks_fail_without_elimination(shipped_cert,
+                                                        monkeypatch):
+    # rounding the shipped blocks to denominators <= 1000 leaves seven of
+    # them NotPSD, far enough from PSD for the float step to find each
+    # witness; the three blocks that stay PSD must still be eliminated
+    floats = [[[float(x) for x in row] for row in b.Q.rows]
+              for b in shipped_cert.blocks]
+    coarse = round_solution(floats, max_den=1000, template=shipped_cert)
+    monkeypatch.setattr(exact, "_eliminate", _refuse_elimination)
+    failed = []
+    for r, block in enumerate(coarse.blocks, start=1):
+        try:
+            verdict = psd_check(block.Q)
+        except Eliminated:
+            continue
+        assert not verdict.is_psd
+        assert block.Q.quadratic_form(verdict.witness) < 0
+        failed.append(r)
+    assert failed == [2, 3, 4, 5, 6, 8, 9]
+
+
+def test_shipped_blocks_go_to_elimination(shipped_cert, monkeypatch):
+    # their smallest float eigenvalues lie within rounding error of zero,
+    # so no witness is proposed and no exact form is evaluated
+    def refuse(self, v):
+        raise AssertionError("evaluated a proposed witness")
+
+    monkeypatch.setattr(SymMatrix, "quadratic_form", refuse)
+    for block in shipped_cert.blocks:
+        with eliminate_spy() as spy:
+            verdict = psd_check(block.Q)
+        assert spy.call_count == 1
+        assert verdict.is_psd
+
+
+@pytest.mark.parametrize("diag", [[10**400, -1], [10**400, 1], [-10**400, 2]])
+def test_entry_beyond_float_range_gets_the_elimination_verdict(diag):
+    m = SymMatrix([[diag[0], 1], [1, diag[1]]])
+    with eliminate_spy() as spy:
+        verdict = psd_check(m)
+    fail = fraction_eliminate(m)[2]
+    assert verdict.is_psd == (fail is None)
+    if fail is not None:
+        assert m.quadratic_form(verdict.witness) < 0
+    assert spy.call_count == 1
+
+
+_EIGH = np.linalg.eigh
+
+
+def _raising(a):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+def _nan_values(a):
+    return np.full(len(a), np.nan)
+
+
+def _nan_vectors(a):
+    w, V = _EIGH(a)
+    return w, np.full_like(V, np.nan)
+
+
+def _inf_vectors(a):
+    w, V = _EIGH(a)
+    V = V.copy()
+    V[0] = np.inf
+    return w, V
+
+
+def _wrong_vectors(a):
+    # the smallest eigenvalue's vector swapped for the largest one's
+    w, V = _EIGH(a)
+    return w, V[:, ::-1]
+
+
+@pytest.mark.parametrize("name, fake", [
+    ("eigvalsh", _raising), ("eigvalsh", _nan_values), ("eigh", _raising),
+    ("eigh", _nan_vectors), ("eigh", _inf_vectors),
+    ("eigh", _wrong_vectors)])
+def test_failed_float_step_gets_the_elimination_verdict(name, fake,
+                                                        monkeypatch):
+    cases = [SymMatrix.diagonal([5, -1]),
+             SymMatrix([[4, 2, 0], [2, 1, 3], [0, 3, 1]]),
+             SymMatrix([[2, 1], [1, 2]])]
+    expected = [psd_check(m) for m in cases]
+    monkeypatch.setattr(np.linalg, name, fake)
+    for m, want in zip(cases, expected):
+        with eliminate_spy() as spy:
+            verdict = psd_check(m)
+        assert spy.call_count == 1
+        assert verdict.is_psd == want.is_psd
+        if not verdict.is_psd:
+            assert m.quadratic_form(verdict.witness) < 0
 
 
 @settings(max_examples=25, deadline=None)

@@ -353,3 +353,28 @@ def test_graph_text_round_trip():
         parse_graph("2 3\n0 1\n")
     with pytest.raises(ValueError):
         parse_graph("")
+
+
+@pytest.mark.parametrize("token", ["\u0663", "\uff13", "1_0", "+3", "-1",
+                                   "3.0", "0x3"])
+def test_parse_graph_takes_ascii_decimals_only(token):
+    # int() alone would read Arabic-Indic and full-width digits, "1_0"
+    # and a sign
+    with pytest.raises(ValueError, match="not a decimal integer"):
+        parse_graph("2 3\n0 %s\n%s 0\n" % (token, token))
+    with pytest.raises(ValueError, match="not a decimal integer"):
+        parse_graph("2 %s\n0 1\n1 0\n" % token)
+
+
+def test_parse_graph_mutation_fuzz_raises_only_value_error(mutant):
+    lines = format_graph(build_gex(7)).splitlines()
+    rng = random.Random(2012)
+    for case in range(300):
+        text = mutant(lines, rng)
+        try:
+            parse_graph(text)
+        except ValueError:
+            pass
+        except Exception as exc:
+            pytest.fail("case %d: %s escaped: %.200s"
+                        % (case, type(exc).__name__, exc))

@@ -102,6 +102,78 @@ def test_parse_solution_errors(tmp_path):
             parse_solution(path)
 
 
+SMALL_PROBLEM = """"a small problem in the same format
+3
+2
+2 -3
+0.04 -0.3333333333 1e-3
+1 1 1 1 0.5
+1 1 1 2 -0.25
+2 2 2 2 1
+3 1 2 2 0.125
+"""
+
+
+def test_parse_sdp_small_problem(tmp_path):
+    path = tmp_path / "problem"
+    path.write_text(SMALL_PROBLEM)
+    prob = parse_sdp(path)
+    assert prob.block_sizes == (2, -3)
+    assert prob.rhs == (Fraction(1, 25), Fraction(-3333333333, 10**10),
+                        Fraction(1, 1000))
+    assert prob.entries[1, 1, 1, 2] == Fraction(-1, 4)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "Infinity", "snan",
+                                   "1e999999999", "1e-999999999"])
+def test_parse_sdp_rejects_non_finite_and_huge_values(tmp_path, value):
+    path = tmp_path / "problem"
+    lines = SMALL_PROBLEM.splitlines()
+    lines[4] = "0.04 %s 1e-3" % value
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SdpFormatError, match="line 5"):
+        parse_sdp(path)
+    lines = SMALL_PROBLEM.splitlines()
+    lines[6] = "1 1 1 2 " + value
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SdpFormatError, match="line 7"):
+        parse_sdp(path)
+
+
+def test_parse_sdp_mutation_fuzz_raises_only_sdp_format_error(tmp_path,
+                                                               mutant):
+    lines = SMALL_PROBLEM.splitlines()
+    path = tmp_path / "problem"
+    rng = random.Random(2012)
+    for case in range(300):
+        path.write_text(mutant(lines, rng))
+        try:
+            parse_sdp(path)
+        except SdpFormatError:
+            pass
+        except Exception as exc:
+            pytest.fail("case %d: %s escaped: %.200s"
+                        % (case, type(exc).__name__, exc))
+
+
+def test_parse_solution_mutation_fuzz_raises_only_sdp_format_error(tmp_path,
+                                                                    mutant):
+    path = tmp_path / "sol"
+    _write_solution(path, ["2 1 1 1 0.5", "2 1 1 2 -0.25", "2 10 27 3 1e-3",
+                           "1 1 1 1 7", "2 11 5 5 0.125"])
+    lines = path.read_text().splitlines()
+    rng = random.Random(2012)
+    for case in range(300):
+        path.write_text(mutant(lines, rng))
+        try:
+            parse_solution(path)
+        except SdpFormatError:
+            pass
+        except Exception as exc:
+            pytest.fail("case %d: %s escaped: %.200s"
+                        % (case, type(exc).__name__, exc))
+
+
 def _perturbed_blocks(cert, amplitude, seed=0):
     rng = random.Random(seed)
     blocks = []
