@@ -27,11 +27,13 @@ from fractions import Fraction
 from functools import cache
 from importlib import resources
 
+import numpy as np
+
 from .exact import SymMatrix, format_rational, parse_rational, psd_check
 from .flags import TypeSigma, flag_from_vector, triangle_pair_counts
-from .graphs import (ColouredGraph, bad_family, canonical_key,
-                     enumerate_models, mono_triangles,
-                     subgraph_class_counts)
+from .graphs import (ColouredGraph, _subset_listings, bad_family,
+                     canonical_key, canonical_keys_batch, enumerate_models,
+                     mono_triangles, subgraph_class_counts)
 
 NUM_FLAGS = 27
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -216,29 +218,24 @@ def load_shipped_certificate() -> Certificate:
 
 class ModelData:
     """What verification needs about the 792 five-vertex models that does
-    not depend on a certificate: the canonical keys in enumeration order
-    and `mono` (key -> monochromatic-triangle total).  Bad-family
-    containment (`bad`) and pair counts are added per model and per
-    labelled type on first request."""
+    not depend on a certificate: the canonical keys in enumeration order,
+    `mono` (key -> monochromatic-triangle total) and `bad` (key -> the
+    bad-family keys the model contains, in bad_family() order), all built
+    at once.  Pair counts are added per labelled type on first request."""
 
     def __init__(self):
         self.models = enumerate_models(5, 3)
         self.keys = tuple(bytes(M.entries) for M in self.models)
         self.mono = {key: mono_triangles(M)["total"]
                      for M, key in zip(self.models, self.keys)}
-        self._model = dict(zip(self.keys, self.models))
-        self._bad_keys = [canonical_key(H) for H in bad_family()]
-        self._bad = {}
+        flats = np.frombuffer(b"".join(self.keys), dtype=np.uint8)
+        four = canonical_keys_batch(_subset_listings(flats.reshape(-1, 10),
+                                                     5, 4), 4)
+        bad_keys = [canonical_key(H) for H in bad_family()]
+        self.bad = {key: tuple(hk for hk in bad_keys
+                               if hk in four[5 * t:5 * t + 5])
+                    for t, key in enumerate(self.keys)}
         self._pairs = {}
-
-    def bad(self, key: bytes) -> tuple:
-        """The bad-family keys that model `key` contains, in bad_family()
-        order."""
-        if key not in self._bad:
-            four_counts = subgraph_class_counts(self._model[key], 4)
-            self._bad[key] = tuple(hk for hk in self._bad_keys
-                                   if four_counts.get(hk, 0) > 0)
-        return self._bad[key]
 
     def pair_counts(self, sigma: TypeSigma) -> list:
         """triangle_pair_counts(sigma, M) for every model, in key order."""
@@ -306,7 +303,7 @@ def verify(cert: Certificate, table: CoefficientTable | None = None) -> Verifica
 
     data = model_data()
     violations = [(hk, key, lambdas[key]) for key in data.keys
-                  if lambdas[key] <= 0 for hk in data.bad(key)]
+                  if lambdas[key] <= 0 for hk in data.bad[key]]
     verified = all(psd_ok) and not negative and not violations
     return VerificationReport(
         psd_ok=psd_ok,

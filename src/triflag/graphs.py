@@ -18,6 +18,10 @@ would not lift the size limit either, since every vertex of a balanced
 blow-up has the same profile.  Isomorphism testing does not canonicalise:
 it is a search with colour-profile candidates and forward checking, exact
 for every n.
+
+Listing batches are built by numpy and deduplicated as the same byte
+strings: one gather lists all l-subsets of a batch of graphs, and
+enumeration extends every model by all colourings of a new vertex's edges.
 """
 
 from __future__ import annotations
@@ -26,13 +30,14 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 
 CANON_MAX_N = 10       # exhaustive canonicalization limit
 _DECIMAL = re.compile(r"[0-9]+")
 _BATCH_BYTES = 1 << 20  # bytes of relabelled listings per gather (min. one row)
+_MAX_CANDIDATES = 192_456  # extension batch of enumerate_models(6, 3)
 
 
 class SizeLimitError(ValueError):
@@ -246,16 +251,19 @@ def is_isomorphic(G: ColouredGraph, H: ColouredGraph) -> bool:
 
 
 def _check_enumeration_limit(l: int, k: int):
-    if k == 1:
-        if l > CANON_MAX_N:
-            raise SizeLimitError("enumeration limited to l <= %d for k = 1"
-                                 % CANON_MAX_N)
-    elif k == 2:
-        if l > 8:
-            raise SizeLimitError("enumeration limited to l <= 8 for k = 2")
-    else:
-        if l > 6:
-            raise SizeLimitError("enumeration limited to l <= 6 for k >= 3")
+    # colours are stored one byte each; enumerating K_l extends every
+    # (l-1)-vertex model by all k^(l-1) colourings of the new vertex's
+    # edges, a batch that grows with k as fast as with l
+    if k > 255:
+        raise SizeLimitError("enumeration limited to k <= 255")
+    if l > CANON_MAX_N:
+        raise SizeLimitError("enumeration limited to l <= %d" % CANON_MAX_N)
+    if l >= 2:
+        batch = count_models_polya(l - 1, k) * k ** (l - 1)
+        if batch > _MAX_CANDIDATES:
+            raise SizeLimitError(
+                "enumeration limited to %d candidate listings; l = %d, "
+                "k = %d needs %d" % (_MAX_CANDIDATES, l, k, batch))
 
 
 @lru_cache(maxsize=64)
@@ -264,25 +272,16 @@ def _model_keys(l: int, k: int) -> tuple:
     if l <= 1:
         return (b"",)
     prev = _model_keys(l - 1, k)
-    m_prev = (l - 1) * (l - 2) // 2
-    vectors = list(product(range(1, k + 1), repeat=l - 1))
-    cands = np.empty((len(prev) * len(vectors), l * (l - 1) // 2),
-                     dtype=np.uint8)
-    # positions of the old upper triangle and of the new vertex's edges in
-    # the extended row-major listing
-    old_pos = [_pair_index(l, i, j)
-               for i in range(l - 1) for j in range(i + 1, l - 1)]
-    new_pos = [_pair_index(l, i, l - 1) for i in range(l - 1)]
-    row = 0
-    for key in prev:
-        base = np.frombuffer(key, dtype=np.uint8) if m_prev else np.empty(0, np.uint8)
-        for vec in vectors:
-            cands[row, old_pos] = base
-            cands[row, new_pos] = vec
-            row += 1
-    cands = np.unique(cands, axis=0)
-    keys = canonical_keys_batch(cands, l)
-    return tuple(sorted(set(keys)))
+    m = l * (l - 1) // 2
+    base = np.frombuffer(b"".join(prev), dtype=np.uint8).reshape(len(prev), -1)
+    vectors = np.array(list(product(range(1, k + 1), repeat=l - 1)),
+                       dtype=np.uint8).reshape(-1, l - 1)
+    # every old model with every colouring of a new vertex 0's edges, which
+    # come first in the row-major listing
+    cands = np.hstack((np.tile(vectors, (len(prev), 1)),
+                       np.repeat(base, len(vectors), axis=0)))
+    cands = np.unique(cands.view("S%d" % m)).view(np.uint8).reshape(-1, m)
+    return tuple(sorted(set(canonical_keys_batch(cands, l))))
 
 
 def enumerate_models(l: int, k: int = 3) -> list[ColouredGraph]:
@@ -337,6 +336,24 @@ def count_models_polya(l: int, k: int) -> int:
 # densities and triangle counts
 
 
+def _subset_listings(flats: np.ndarray, n: int, l: int) -> np.ndarray:
+    """The listings of all l-subsets of each row of a (g, m) uint8 batch of
+    n-vertex listings: a (g * C(n, l), l(l-1)/2) array, row by row and in
+    `combinations` order within a row."""
+    pos = np.zeros((n, n), dtype=np.int32)      # pos[a, b]: pair {a, b}
+    a, b = np.triu_indices(n, 1)
+    pos[a, b] = pos[b, a] = np.arange(len(a))
+    subsets = np.fromiter(chain.from_iterable(combinations(range(n), l)),
+                          np.int32, math.comb(n, l) * l).reshape(-1, l)
+    pairs = list(combinations(range(l), 2))
+    # one pair column at a time: numpy casts an index array to intp, and a
+    # whole (C(n, l), m) index tripled the peak memory of this gather
+    out = np.empty((len(flats), len(subsets), len(pairs)), dtype=np.uint8)
+    for t, (i, j) in enumerate(pairs):
+        out[:, :, t] = np.take(flats, pos[subsets[:, i], subsets[:, j]], 1)
+    return out.reshape(-1, len(pairs))
+
+
 def subgraph_class_counts(G: ColouredGraph, l: int) -> dict:
     """Map canonical key -> number of l-subsets of V(G) inducing that class."""
     n = G.n
@@ -345,29 +362,16 @@ def subgraph_class_counts(G: ColouredGraph, l: int) -> dict:
     if l > CANON_MAX_N:
         raise SizeLimitError("subgraph classes limited to l <= %d"
                              % CANON_MAX_N)
-    if l == 0:
-        return {b"": 1}
-    subsets = list(combinations(range(n), l))
-    flats = np.empty((len(subsets), l * (l - 1) // 2), dtype=np.uint8)
-    for r, vs in enumerate(subsets):
-        t = 0
-        for a in range(l):
-            for b in range(a + 1, l):
-                flats[r, t] = G.colour(vs[a], vs[b])
-                t += 1
-    # canonicalize distinct raw listings once, then tally
-    raw_counts: dict[bytes, int] = {}
-    for r in range(len(subsets)):
-        raw = flats[r].tobytes()
-        raw_counts[raw] = raw_counts.get(raw, 0) + 1
-    uniq = sorted(raw_counts)
-    uniq_arr = np.frombuffer(b"".join(uniq), dtype=np.uint8)
-    uniq_arr = uniq_arr.reshape(len(uniq), l * (l - 1) // 2) if uniq else \
-        np.empty((0, 0), dtype=np.uint8)
-    keys = canonical_keys_batch(uniq_arr, l)
+    if l < 2:
+        return {b"": math.comb(n, l)}
+    m = l * (l - 1) // 2
+    listings = _subset_listings(np.array([G.entries], dtype=np.uint8), n, l)
+    # canonicalise each distinct listing once, then tally
+    raw, counts = np.unique(listings.view("S%d" % m), return_counts=True)
+    keys = canonical_keys_batch(raw.view(np.uint8).reshape(-1, m), l)
     out: dict[bytes, int] = {}
-    for raw, key in zip(uniq, keys):
-        out[key] = out.get(key, 0) + raw_counts[raw]
+    for key, count in zip(keys, counts.tolist()):
+        out[key] = out.get(key, 0) + count
     return out
 
 

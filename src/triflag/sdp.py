@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import decimal
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certificate import (NUM_FLAGS, Certificate, CertificateBlock,
+from .certificate import (_INTEGER, NUM_FLAGS, Certificate, CertificateBlock,
                           CoefficientTable, load_shipped_certificate,
                           model_data)
 from .exact import DEFAULT_MAX_DEN, SymMatrix, rational_reconstruct
@@ -37,6 +38,10 @@ SIG_DIGITS = 40
 # Largest decimal exponent in a problem file, as CPython's int digit limit:
 # 1e999999999 would otherwise build a billion-digit integer.
 _MAX_EXPONENT = 4300
+# A value as export_sdp writes it ("-0.0125", "1") or as solvers do
+# ("1.5e-07"): ASCII digits only, where float() and Decimal also read
+# "1_0", non-ASCII digits, "inf" and "nan".
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 TARGET_BOUND = Fraction(1, 25)
 
@@ -98,13 +103,32 @@ def export_sdp(table: CoefficientTable, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _decimal_fraction(token: str) -> Fraction:
-    """The exact value of a finite decimal token with a bounded exponent."""
-    d = decimal.Decimal(token)
-    if not d.is_finite():
-        raise ValueError("non-finite value %.40r" % token)
+def _integer(token: str, ln: int) -> int:
+    if not _INTEGER.fullmatch(token):
+        raise SdpFormatError("line %d: not an integer: %.40r" % (ln, token))
+    try:
+        return int(token)
+    except ValueError as exc:      # beyond the int-string digit limit
+        raise SdpFormatError("line %d: %s" % (ln, exc)) from exc
+
+
+def _decimal(token: str, ln: int) -> str:
+    if not _DECIMAL.fullmatch(token):
+        raise SdpFormatError("line %d: non-finite value or not an ASCII "
+                             "decimal: %.40r" % (ln, token))
+    return token
+
+
+def _decimal_fraction(token: str, ln: int) -> Fraction:
+    """The exact value of a decimal token with a bounded exponent."""
+    try:
+        d = decimal.Decimal(_decimal(token, ln))
+    except decimal.InvalidOperation as exc:    # exponent beyond Decimal's
+        raise SdpFormatError("line %d: exponent out of range: %.40r"
+                             % (ln, token)) from exc
     if abs(d.adjusted()) > _MAX_EXPONENT:
-        raise ValueError("exponent beyond %d: %.40r" % (_MAX_EXPONENT, token))
+        raise SdpFormatError("line %d: exponent beyond %d: %.40r"
+                             % (ln, _MAX_EXPONENT, token))
     return Fraction(d)
 
 
@@ -116,18 +140,11 @@ def parse_sdp(path) -> SdpProblem:
              if ln.strip() and not ln.lstrip().startswith(('"', "*"))]
     if len(lines) < 4:
         raise SdpFormatError("problem file too short")
-    try:
-        m = int(lines[0][1])
-        nblocks = int(lines[1][1])
-        sizes = tuple(int(t) for t in lines[2][1].split())
-    except ValueError as exc:
-        raise SdpFormatError("bad problem header: %s" % exc) from exc
-    ln, text = lines[3]
-    try:
-        rhs = tuple(_decimal_fraction(t) for t in text.split())
-    except (ValueError, decimal.InvalidOperation) as exc:
-        raise SdpFormatError("line %d: bad right-hand side: %s"
-                             % (ln, exc)) from exc
+    (ln_m, m), (ln_n, nblocks), (ln_s, sizes), (ln_r, rhs) = lines[:4]
+    m = _integer(m, ln_m)
+    nblocks = _integer(nblocks, ln_n)
+    sizes = tuple(_integer(t, ln_s) for t in sizes.split())
+    rhs = tuple(_decimal_fraction(t, ln_r) for t in rhs.split())
     if len(sizes) != nblocks:
         raise SdpFormatError("block size count does not match nblocks")
     if len(rhs) != m:
@@ -138,12 +155,8 @@ def parse_sdp(path) -> SdpProblem:
         toks = text.split()
         if len(toks) != 5:
             raise SdpFormatError("line %d: expected 5 fields" % ln)
-        try:
-            matno, blkno, i, j = (int(t) for t in toks[:4])
-            val = _decimal_fraction(toks[4])
-        except (ValueError, decimal.InvalidOperation) as exc:
-            raise SdpFormatError("line %d: %s" % (ln, exc)) from exc
-        entries[matno, blkno, i, j] = val
+        matno, blkno, i, j = (_integer(t, ln) for t in toks[:4])
+        entries[matno, blkno, i, j] = _decimal_fraction(toks[4], ln)
     return SdpProblem(m, sizes, rhs, entries)
 
 
@@ -161,11 +174,7 @@ def parse_solution(path) -> SolverSolution:
     if not lines:
         raise SdpFormatError("empty solution file")
     ln, first = lines[0]
-    try:
-        y = [float(t) for t in first.split()]
-    except ValueError as exc:
-        raise SdpFormatError("line %d: bad value in dual vector: %s"
-                             % (ln, exc)) from exc
+    y = [float(_decimal(t, ln)) for t in first.split()]
     if not all(map(math.isfinite, y)):
         raise SdpFormatError("line %d: non-finite value in dual vector" % ln)
     if len(y) != NUM_MODELS:
@@ -179,12 +188,9 @@ def parse_solution(path) -> SolverSolution:
         if len(toks) != 5:
             raise SdpFormatError("line %d: expected 'matno blkno i j value'"
                                  % ln)
-        try:
-            matno, blkno, i, j = (int(t) for t in toks[:4])
-            val = float(toks[4])
-        except ValueError as exc:
-            raise SdpFormatError("line %d: %s" % (ln, exc)) from exc
-        if not math.isfinite(val):        # inf, nan, or overflow like 1e400
+        matno, blkno, i, j = (_integer(t, ln) for t in toks[:4])
+        val = float(_decimal(toks[4], ln))
+        if not math.isfinite(val):        # overflow like 1e400
             raise SdpFormatError("line %d: non-finite value %.40r"
                                  % (ln, toks[4]))
         if matno == 1:

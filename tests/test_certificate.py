@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -216,16 +217,16 @@ def test_lambda_vector_matches_fraction_sums(shipped_cert, shipped_table):
         assert lams == fraction_lambdas(cert, shipped_table)
 
 
-def test_bad_family_containment_is_computed_on_request(monkeypatch):
-    calls = []
-    counts = cert_mod.subgraph_class_counts
-    monkeypatch.setattr(cert_mod, "subgraph_class_counts",
-                        lambda G, l: calls.append(l) or counts(G, l))
-    data = cert_mod.ModelData()
-    assert calls == []
-    key = data.keys[0]
-    assert data.bad(key) == data.bad(key)
-    assert calls == [4]
+def test_bad_family_containment_matches_per_subset_oracle():
+    bad_keys = [canonical_key(H) for H in bad_family()]
+    want = {}
+    for M in enumerate_models(5, 3):
+        four = {canonical_key(M.induced(vs))
+                for vs in itertools.combinations(range(5), 4)}
+        want[bytes(M.entries)] = tuple(hk for hk in bad_keys if hk in four)
+    bad = cert_mod.ModelData().bad
+    assert list(bad.items()) == list(want.items())
+    assert sum(map(bool, bad.values())) > 0
 
 
 def test_bad_family_violations_match_eager_containment(shipped_cert,

@@ -197,6 +197,10 @@ def test_enumerate_size_limit(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "11", "--k", "1")
     assert code == 2
     assert "error" in err
+    # 256 does not fit the one-byte colours
+    code, _, err = run(capsys, "enumerate", "--n", "2", "--k", "256")
+    assert code == 2
+    assert "k <= 255" in err
 
 
 def test_check_gn_rejects_non_member(tmp_path, capsys):

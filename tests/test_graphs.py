@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from triflag.extremal import build_gex
 from triflag.flags import Flag
-from triflag.graphs import (ColouredGraph, SizeLimitError, bad_family,
-                            canonical_form, canonical_key,
+from triflag.graphs import (CANON_MAX_N, ColouredGraph, SizeLimitError,
+                            bad_family, canonical_form, canonical_key,
                             canonical_keys_batch, corollary_value,
                             count_models_polya, density, enumerate_models,
                             format_graph, goodman, is_isomorphic,
@@ -246,6 +247,14 @@ def test_enumeration_size_limits():
         enumerate_models(9, 2)
     with pytest.raises(SizeLimitError):
         enumerate_models(11, 1)
+    # colours are one byte each
+    with pytest.raises(SizeLimitError, match="k <= 255"):
+        enumerate_models(2, 256)
+    # the extension batches would hold 454,750,000 and 10,944,512 listings
+    # (enumerate_models(6, 3) builds 192,456)
+    for l, k in ((5, 10), (6, 4)):
+        with pytest.raises(SizeLimitError, match="candidate listings"):
+            enumerate_models(l, k)
 
 
 def test_density_examples():
@@ -336,6 +345,18 @@ def test_bad_family_matches_ijk_oracle():
     oracle = {canonical_key(M) for M in enumerate_models(4, 3)
               if classifies(M)}
     assert {canonical_key(H) for H in bad_family()} == oracle
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((1, 2, 3)).flatmap(
+    lambda k: coloured_graphs(max_n=9, k=k)), st.data())
+def test_subgraph_class_counts_matches_per_subset_oracle(G, data):
+    l = data.draw(st.integers(0, min(G.n, CANON_MAX_N)))
+    want = {}
+    for vs in combinations(range(G.n), l):
+        key = canonical_key(G.induced(vs))
+        want[key] = want.get(key, 0) + 1
+    assert subgraph_class_counts(G, l) == want
 
 
 def test_subgraph_class_counts_total():

@@ -92,7 +92,7 @@ def test_parse_solution_errors(tmp_path):
     _write_solution(path, [])
     with pytest.raises(SdpFormatError, match="no matrix entries"):
         parse_solution(path)
-    for value in ("inf", "-inf", "1e400", "nan"):
+    for value in ("inf", "-inf", "1e400", "nan", "1_0", "\u0661.5", "0x1"):
         _write_solution(path, ["2 1 1 1 1.0", "1 1 1 1 " + value])
         with pytest.raises(SdpFormatError, match="line 3: non-finite"):
             parse_solution(path)
@@ -138,6 +138,30 @@ def test_parse_sdp_rejects_non_finite_and_huge_values(tmp_path, value):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SdpFormatError, match="line 7"):
         parse_sdp(path)
+
+
+@pytest.mark.parametrize("line, text", [
+    (4, "\u0662 -3"),                          # Arabic-Indic two
+    (5, "0.04 -0.3333333333 0.0_4"),
+    (7, "1 1 1 \uff12 -0.25"),                 # full-width two
+])
+def test_parse_sdp_takes_ascii_numbers_only(tmp_path, line, text):
+    # int() and Decimal would read these as 2 and 1/25
+    lines = SMALL_PROBLEM.splitlines()
+    lines[line - 1] = text
+    path = tmp_path / "problem"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SdpFormatError, match="line %d: " % line):
+        parse_sdp(path)
+
+
+@pytest.mark.parametrize("entry", ["2 \u0661 1 1 1_0", "2 1 \uff11 1 0.5"])
+def test_parse_solution_takes_ascii_integers_only(tmp_path, entry):
+    # int() and float() would read "2 \u0661 1 1 1_0" as 10.0 in row 1
+    path = tmp_path / "sol"
+    _write_solution(path, ["2 1 1 1 1.0", entry])
+    with pytest.raises(SdpFormatError, match="line 3: "):
+        parse_solution(path)
 
 
 def test_parse_sdp_mutation_fuzz_raises_only_sdp_format_error(tmp_path,
