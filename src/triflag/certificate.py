@@ -30,10 +30,11 @@ from importlib import resources
 import numpy as np
 
 from .exact import SymMatrix, format_rational, parse_rational, psd_check
-from .flags import TypeSigma, flag_from_vector, triangle_pair_counts
+from .flags import (TypeSigma, _colour_code, flag_from_vector,
+                    triangle_pair_counts)
 from .graphs import (ColouredGraph, _subset_listings, bad_family,
                      canonical_key, canonical_keys_batch, enumerate_models,
-                     mono_triangles, subgraph_class_counts)
+                     subgraph_class_counts)
 
 NUM_FLAGS = 27
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -218,31 +219,30 @@ def load_shipped_certificate() -> Certificate:
 
 class ModelData:
     """What verification needs about the 792 five-vertex models that does
-    not depend on a certificate: the canonical keys in enumeration order,
-    `mono` (key -> monochromatic-triangle total) and `bad` (key -> the
-    bad-family keys the model contains, in bad_family() order), all built
-    at once.  Pair counts are added per labelled type on first request."""
+    not depend on a certificate, all built at once from the batch of their
+    listings:
+
+      * `keys`: the canonical keys, in enumeration order;
+      * `bad`: key -> the bad-family keys the model contains, in
+        bad_family() order;
+      * `cells`, `cell_counts` and `valid`: the pair counts of all 27
+        labelled 3-vertex types on every model, as `triangle_pair_counts`
+        returns them (rows in key order);
+      * `mono`: key -> monochromatic-triangle total, the injections of the
+        types (1, 1, 1), (2, 2, 2) and (3, 3, 3) over 6."""
 
     def __init__(self):
-        self.models = enumerate_models(5, 3)
-        self.keys = tuple(bytes(M.entries) for M in self.models)
-        self.mono = {key: mono_triangles(M)["total"]
-                     for M, key in zip(self.models, self.keys)}
-        flats = np.frombuffer(b"".join(self.keys), dtype=np.uint8)
-        four = canonical_keys_batch(_subset_listings(flats.reshape(-1, 10),
-                                                     5, 4), 4)
+        self.keys = tuple(bytes(M.entries) for M in enumerate_models(5, 3))
+        flats = np.frombuffer(b"".join(self.keys),
+                              dtype=np.uint8).reshape(-1, 10)
+        four = canonical_keys_batch(_subset_listings(flats, 5, 4), 4)
         bad_keys = [canonical_key(H) for H in bad_family()]
         self.bad = {key: tuple(hk for hk in bad_keys
                                if hk in four[5 * t:5 * t + 5])
                     for t, key in enumerate(self.keys)}
-        self._pairs = {}
-
-    def pair_counts(self, sigma: TypeSigma) -> list:
-        """triangle_pair_counts(sigma, M) for every model, in key order."""
-        if sigma not in self._pairs:
-            self._pairs[sigma] = [triangle_pair_counts(sigma, M)
-                                  for M in self.models]
-        return self._pairs[sigma]
+        self.cells, self.cell_counts, self.valid = triangle_pair_counts(flats)
+        mono = self.valid[[_colour_code((c,) * 3) for c in (1, 2, 3)]]
+        self.mono = dict(zip(self.keys, (mono.sum(axis=0) // 6).tolist()))
 
 
 # one instance per process, built on first use
@@ -250,23 +250,35 @@ model_data = cache(ModelData)
 
 
 def coefficient_table(cert: Certificate) -> CoefficientTable:
-    """Exact product-coefficient table over all 5-vertex models: the cached
-    pair counts of each block's type, re-indexed into the block's flag
-    order."""
+    """Exact product-coefficient table over all 5-vertex models: for each
+    block, the rows of its type in the model data's pair counts, with the
+    flag codes re-indexed into the block's flag order."""
     data = model_data()
+    g = len(data.keys)
+    span = 27 * 27 * g          # cell codes of one labelled type
     counts = []
     valids = []
     for block in cert.blocks:
-        index = {vec: i for i, vec in enumerate(block.vectors)}
+        t = _colour_code(block.type_sigma.entries)
+        lo, hi = np.searchsorted(data.cells, (t * span, (t + 1) * span))
+        model, cell = np.divmod(data.cells[lo:hi] - t * span, 27 * 27)
+        codes = [_colour_code(v) for v in block.vectors]
+        if sorted(codes) != list(range(NUM_FLAGS)):
+            raise ValueError("a block must list each of the 27 flag "
+                             "vectors once")
+        index = np.argsort(codes)       # flag code -> position in the block
+        pairs = list(zip(index[cell // 27].tolist(),
+                         index[cell % 27].tolist()))
+        cell_counts = data.cell_counts[lo:hi].tolist()
+        ends = np.searchsorted(model, np.arange(1, g + 1)).tolist()
         block_counts = {}
-        block_valid = {}
-        for key, (pair_counts, valid) in zip(
-                data.keys, data.pair_counts(block.type_sigma)):
-            block_counts[key] = {(index[v1], index[v2]): c
-                                 for (v1, v2), c in pair_counts.items()}
-            block_valid[key] = valid
+        start = 0
+        for key, end in zip(data.keys, ends):
+            block_counts[key] = dict(zip(pairs[start:end],
+                                         cell_counts[start:end]))
+            start = end
         counts.append(block_counts)
-        valids.append(block_valid)
+        valids.append(dict(zip(data.keys, data.valid[t].tolist())))
     return CoefficientTable(data.keys, counts, valids)
 
 

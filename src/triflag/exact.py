@@ -114,16 +114,24 @@ class SymMatrix:
         return "SymMatrix(%d x %d)" % (self.dim, self.dim)
 
     def quadratic_form(self, v: Sequence) -> Fraction:
-        """v^T M v, exactly."""
+        """v^T M v, exactly, summed in integers: with w = s v an integer
+        vector and d_i the lcm of the row's denominators on the support of
+        w (rows are scaled as in `_eliminate`), the form is
+        sum_i w_i (sum_j d_i M_ij w_j) / (d_i s^2), one division per row."""
         v = [Fraction(x) for x in v]
         if len(v) != self.dim:
             raise ValueError("vector length mismatch")
+        s = math.lcm(*(x.denominator for x in v))
+        w = [x.numerator * (s // x.denominator) for x in v]
+        support = [j for j in range(self.dim) if w[j]]
         total = Fraction(0)
-        for i, row in enumerate(self.rows):
-            if v[i] == 0:
-                continue
-            total += v[i] * sum(row[j] * v[j] for j in range(self.dim) if v[j])
-        return total
+        for i in support:
+            row = [self.rows[i][j] for j in support]
+            d = math.lcm(*(x.denominator for x in row))
+            total += Fraction(w[i] * sum(x.numerator * (d // x.denominator)
+                                         * w[j]
+                                         for x, j in zip(row, support)), d)
+        return total / (s * s)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,14 @@ embedding of a type.  Flag isomorphisms fix the labels pointwise.  The
 operations here are the finite, exactly-computable quantities behind the
 certificate check: flag densities, the chain rule that relates them, and
 the probabilistic product coefficient over a larger model.
+
+The certificate's coefficients are products of 4-vertex flags over
+3-vertex types on 5-vertex models.  `triangle_pair_counts` counts them for
+all 27 labelled types and a whole batch of models in one numpy pass: a
+labelled type and a flag are each coded by their three colours, and one
+gather over the 60 injections of a labelled triangle reads every
+injection's type and its two flags; `avg_coefficient` is the definition
+they are tested against.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
+
+import numpy as np
 
 from .graphs import ColouredGraph, SizeLimitError, enumerate_models
 
@@ -226,31 +236,66 @@ def avg_coefficient(tau: TypeSigma, K1: Flag, K2: Flag,
     return Fraction(hits, total)
 
 
-def triangle_pair_counts(tau: TypeSigma, L: ColouredGraph):
-    """Fast path for 3-vertex types and 4-vertex flags over a 5-vertex model.
+def _colour_code(colours) -> int:
+    """9(c1 - 1) + 3(c2 - 1) + (c3 - 1) for three colours in 1..3: the
+    labelled 3-vertex type with listing (c1, c2, c3), or the flag with
+    colour vector (c1, c2, c3); the 27 codes follow `product` order."""
+    c1, c2, c3 = colours
+    if not 1 <= min(c1, c2, c3) <= max(c1, c2, c3) <= 3:
+        raise ValueError("colours must be in 1..3")
+    return 9 * c1 + 3 * c2 + c3 - 13
 
-    Returns (counts, valid) where counts maps colour-vector pairs
-    (v1, v2) -> number of (injection, split) outcomes inducing those flags,
-    and valid is the number of injections inducing tau.  Each outcome has
-    probability 1/120; counts is symmetric by construction.
+
+def _injection_positions() -> np.ndarray:
+    """(60, 9) listing positions, one row per injection (a, b, c) of a
+    labelled triangle into 5 vertices, in `permutations` order, with x < y
+    the other two vertices: the pairs ab, ac, bc, then xa, xb, xc, then
+    ya, yb, yc."""
+    pos = {}
+    for t, (i, j) in enumerate(combinations(range(5), 2)):
+        pos[i, j] = pos[j, i] = t
+    rows = []
+    for a, b, c in permutations(range(5), 3):
+        x, y = (v for v in range(5) if v not in (a, b, c))
+        rows.append([pos[a, b], pos[a, c], pos[b, c]]
+                    + [pos[u, w] for u in (x, y) for w in (a, b, c)])
+    return np.array(rows)
+
+
+_INJECTIONS = _injection_positions()
+
+
+def triangle_pair_counts(flats: np.ndarray):
+    """Pair counts of all 27 labelled 3-vertex types over a batch of
+    5-vertex models, in one numpy pass.
+
+    `flats` is a (g, 10) uint8 batch of listings with colours in 1..3.  One
+    gather over the 60 injections (a, b, c) of a labelled triangle gives
+    each injection's type code (`_colour_code` of the colours of ab, ac,
+    bc) and the flag codes of the two other vertices x < y (the colours
+    they send to a, b, c).  Returns (cells, counts, valid):
+
+      * cells: sorted distinct codes ((t * g + row) * 27 + i) * 27 + j;
+      * counts: how many (injection, split) outcomes of type t in that row
+        induce flags i and j (each outcome has probability 1/120); every
+        injection adds both (i, j) and (j, i), so the counts are symmetric;
+      * valid: a (27, g) array, valid[t, row] the injections of type t.
     """
-    if tau.n != 3 or L.n != 5:
-        raise ValueError("fast path needs |tau| = 3 and |L| = 5")
-    t01, t02, t12 = tau.entries
-    mat = L.matrix()
-    counts: Counter = Counter()
-    valid = 0
-    for theta in permutations(range(5), 3):
-        a, b, c = theta
-        if mat[a][b] != t01 or mat[a][c] != t02 or mat[b][c] != t12:
-            continue
-        valid += 1
-        x, y = (v for v in range(5) if v not in theta)
-        vx = (mat[x][a], mat[x][b], mat[x][c])
-        vy = (mat[y][a], mat[y][b], mat[y][c])
-        counts[vx, vy] += 1
-        counts[vy, vx] += 1
-    return counts, valid
+    flats = np.asarray(flats)
+    if flats.ndim != 2 or flats.shape[1] != 10 or flats.dtype != np.uint8:
+        raise ValueError("need a (g, 10) uint8 batch of 5-vertex listings")
+    if flats.size and not (flats.min() >= 1 and flats.max() <= 3):
+        raise ValueError("colours must be in 1..3")
+    g = len(flats)
+    c = flats[:, _INJECTIONS].reshape(g, 60, 3, 3)
+    codes = (9 * c[..., 0] + 3 * c[..., 1] + c[..., 2] - 13).astype(np.int64)
+    t, fx, fy = codes[:, :, 0], codes[:, :, 1], codes[:, :, 2]
+    typed = t * g + np.arange(g)[:, None]
+    cells, counts = np.unique(np.concatenate(
+        [(typed * 27 + fx) * 27 + fy, (typed * 27 + fy) * 27 + fx],
+        axis=None), return_counts=True)
+    valid = np.bincount(typed.ravel(), minlength=27 * g).reshape(27, g)
+    return cells, counts, valid
 
 
 def verify_chain_rule(F: Flag, m: int, H: Flag) -> bool:

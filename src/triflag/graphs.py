@@ -164,9 +164,10 @@ def _lex_min(flats: np.ndarray, n: int):
     m = n * (n - 1) // 2
     if m == 0:
         return [b""] * len(flats), [0] * len(flats)
-    # the index takes 13 MB at n = 9 and 163 MB at n = 10: only smaller
-    # ones are kept
-    idx = (_relabelling_index(n) if n <= 8
+    # the index is kept up to n = 9 (13 MB, and rebuilding it costs a
+    # 9-vertex key far more than its gather); at n = 10 it takes 163 MB and
+    # is rebuilt on each call
+    idx = (_relabelling_index(n) if n <= 9
            else _relabelling_index.__wrapped__(n))
     step = max(1, _BATCH_BYTES // idx.size)
     keys, ranks = [], []

@@ -133,8 +133,10 @@ def test_table_identity_entries(shipped_cert, shipped_table):
 
 def relabelled(cert, rng):
     """The same certificate in another layout: in every block the type's
-    labels are permuted and the flags are listed in a random order."""
+    labels are permuted and the flags are listed in a random order.  Also
+    returns each block's order: new flag i is old flag order[i]."""
     blocks = []
+    orders = []
     for b in cert.blocks:
         pi = rng.sample(range(3), 3)         # new label a is old label pi[a]
         sigma = b.type_sigma.relabel(pi)
@@ -144,14 +146,15 @@ def relabelled(cert, rng):
         blocks.append(CertificateBlock(
             sigma, vectors, tuple(flag_from_vector(sigma, v) for v in vectors),
             SymMatrix(rows)))
-    return Certificate(cert.bound, tuple(blocks))
+        orders.append(order)
+    return Certificate(cert.bound, tuple(blocks)), orders
 
 
 def test_table_matches_avg_coefficient_spot_checks(shipped_cert,
                                                    shipped_table):
     rng = random.Random(1)
     models = enumerate_models(5, 3)
-    moved = relabelled(shipped_cert, random.Random(3))
+    moved, _ = relabelled(shipped_cert, random.Random(3))
     assert any(a.type_sigma != b.type_sigma
                for a, b in zip(moved.blocks, shipped_cert.blocks))
     moved_table = coefficient_table(moved)
@@ -170,6 +173,28 @@ def test_table_matches_avg_coefficient_spot_checks(shipped_cert,
             assert table.entry(r, bytes(M.entries), i, j) == want
     assert lambda_vector(moved, moved_table) == \
         lambda_vector(shipped_cert, shipped_table)
+
+
+def test_relabelled_table_is_the_reindexed_shipped_table(shipped_cert,
+                                                         shipped_table):
+    moved, orders = relabelled(shipped_cert, random.Random(4))
+    table = coefficient_table(moved)
+    assert table.model_keys == shipped_table.model_keys
+    for r, order in enumerate(orders):
+        new = {old: i for i, old in enumerate(order)}
+        want = {key: {(new[i], new[j]): c for (i, j), c in cells.items()}
+                for key, cells in shipped_table.counts[r].items()}
+        assert table.counts[r] == want
+        assert table.valid_injections[r] == shipped_table.valid_injections[r]
+
+
+def test_table_rejects_a_block_without_all_27_vectors(shipped_cert):
+    b = shipped_cert.blocks[2]
+    vectors = (b.vectors[1],) + b.vectors[1:]
+    blocks = list(shipped_cert.blocks)
+    blocks[2] = CertificateBlock(b.type_sigma, vectors, b.flags, b.Q)
+    with pytest.raises(ValueError, match="27 flag vectors"):
+        coefficient_table(Certificate(shipped_cert.bound, tuple(blocks)))
 
 
 def test_table_symmetry_and_sum_rule(shipped_table):
@@ -227,6 +252,14 @@ def test_bad_family_containment_matches_per_subset_oracle():
     bad = cert_mod.ModelData().bad
     assert list(bad.items()) == list(want.items())
     assert sum(map(bool, bad.values())) > 0
+
+
+def test_model_data_mono_matches_mono_triangles():
+    mono = cert_mod.ModelData().mono
+    assert list(mono) == [bytes(M.entries) for M in enumerate_models(5, 3)]
+    for key, total in mono.items():
+        M = ColouredGraph(5, 3, tuple(key))
+        assert total == mono_triangles(M)["total"]
 
 
 def test_bad_family_violations_match_eager_containment(shipped_cert,

@@ -45,6 +45,17 @@ def fraction_eliminate(M: SymMatrix):
     return L, diag, None
 
 
+def fraction_quadratic_form(M: SymMatrix, v) -> Fraction:
+    """Oracle: v^T M v summed term by term in Fractions."""
+    v = [F(x) for x in v]
+    total = F(0)
+    for i, row in enumerate(M.rows):
+        if v[i] == 0:
+            continue
+        total += v[i] * sum(row[j] * v[j] for j in range(M.dim) if v[j])
+    return total
+
+
 def test_parse_format_round_trip():
     for text in ["3/7", "-12/25", "0", "4", "-9"]:
         assert format_rational(parse_rational(text)) == text
@@ -206,6 +217,24 @@ def rational_symmetric(draw, max_n=6):
             for b in range(n):
                 rows[a][b] += sum(LE[a][k] * L[b][k] for k in range(n))
     return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.builds(F, st.integers(-50, 50),
+                                st.sampled_from([1, 2, 7, 1000, 10**12 + 39])),
+                      min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 60))
+             | st.just(F(0)), min_size=n, max_size=n))))
+def test_quadratic_form_matches_fraction_oracle(case):
+    square, v = case
+    n = len(v)
+    rows = [[square[max(i, j)][min(i, j)] for j in range(n)]
+            for i in range(n)]
+    m = SymMatrix(rows)
+    got = m.quadratic_form(v)
+    assert isinstance(got, Fraction)
+    assert got == fraction_quadratic_form(m, v)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from triflag.flags import (Flag, avg_coefficient, enumerate_flags,
@@ -8,6 +11,29 @@ from triflag.flags import (Flag, avg_coefficient, enumerate_flags,
                            ten_types, triangle_pair_counts, vector_of_flag,
                            verify_chain_rule)
 from triflag.graphs import ColouredGraph, canonical_key, enumerate_models
+
+
+def pair_counts_oracle(tau, L):
+    """Oracle: the pair counts of a 3-vertex type over one 5-vertex model,
+    injection by injection.  Returns (counts, valid): counts maps
+    colour-vector pairs (v1, v2) to the (injection, split) outcomes
+    inducing those flags, valid is the number of injections inducing
+    tau."""
+    t01, t02, t12 = tau.entries
+    mat = L.matrix()
+    counts = Counter()
+    valid = 0
+    for theta in permutations(range(5), 3):
+        a, b, c = theta
+        if mat[a][b] != t01 or mat[a][c] != t02 or mat[b][c] != t12:
+            continue
+        valid += 1
+        x, y = (v for v in range(5) if v not in theta)
+        vx = (mat[x][a], mat[x][b], mat[x][c])
+        vy = (mat[y][a], mat[y][b], mat[y][c])
+        counts[vx, vy] += 1
+        counts[vy, vx] += 1
+    return counts, valid
 
 
 def mono_kn(n, colour):
@@ -108,12 +134,46 @@ def test_triangle_pair_counts_matches_avg_coefficient():
     for _ in range(5):
         L = ColouredGraph(5, 3, tuple(rng.randint(1, 3) for _ in range(10)))
         for sigma in (SIGMA1, ten_types()[4]):
-            counts, valid = triangle_pair_counts(sigma, L)
+            counts, valid = pair_counts_oracle(sigma, L)
             assert sum(counts.values()) == 2 * valid
             for (v1, v2), c in counts.items():
                 got = avg_coefficient(sigma, flag_from_vector(sigma, v1),
                                       flag_from_vector(sigma, v2), L)
                 assert got == Fraction(c, 120)
+
+
+def test_triangle_pair_counts_batch_matches_oracle():
+    # all 27 labelled types on all 792 models; codes follow product order
+    models = enumerate_models(5, 3)
+    flats = np.array([M.entries for M in models], dtype=np.uint8)
+    cells, counts, valid = triangle_pair_counts(flats)
+    g = len(models)
+    got = {}
+    for code, c in zip(cells.tolist(), counts.tolist()):
+        rest, j = divmod(code, 27)
+        rest, i = divmod(rest, 27)
+        t, row = divmod(rest, g)
+        got[t, row, i, j] = c
+    vectors = list(product((1, 2, 3), repeat=3))
+    want = {}
+    for t, entries in enumerate(vectors):
+        tau = ColouredGraph(3, 3, entries)
+        for row, M in enumerate(models):
+            pairs, n = pair_counts_oracle(tau, M)
+            assert valid[t, row] == n
+            for (v1, v2), c in pairs.items():
+                want[t, row, vectors.index(v1), vectors.index(v2)] = c
+    assert got == want
+    assert valid.shape == (27, g)
+
+
+def test_triangle_pair_counts_rejects_bad_batches():
+    for bad in (np.ones((2, 9), dtype=np.uint8),
+                np.ones((2, 10), dtype=np.int64),
+                np.full((1, 10), 4, dtype=np.uint8),
+                np.zeros((1, 10), dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            triangle_pair_counts(bad)
 
 
 def test_chain_rule_degenerate():

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from triflag.extremal import build_gex
 from triflag.flags import Flag
 from triflag.graphs import (CANON_MAX_N, ColouredGraph, SizeLimitError,
-                            bad_family, canonical_form, canonical_key,
-                            canonical_keys_batch, corollary_value,
-                            count_models_polya, density, enumerate_models,
+                            _relabelling_index, bad_family, canonical_form,
+                            canonical_key, canonical_keys_batch,
+                            corollary_value, count_models_polya, density,
+                            enumerate_models,
                             format_graph, goodman, is_isomorphic,
                             mono_triangles, parse_graph,
                             subgraph_class_counts)
@@ -98,6 +99,15 @@ def test_canonical_form_witness_at_cached_and_rebuilt_index_sizes(n):
     key, perm = canonical_form(G)
     assert bytes(G.relabel(perm).entries) == key
     assert canonical_key(shuffled(G, n)) == key
+
+
+def test_nine_vertex_relabelling_index_is_cached():
+    canonical_key(random_graph(9, 3, 1))
+    before = _relabelling_index.cache_info()
+    canonical_key(random_graph(9, 3, 2))
+    after = _relabelling_index.cache_info()
+    assert after.hits == before.hits + 1
+    assert after.misses == before.misses
 
 
 @settings(max_examples=60, deadline=None)
