@@ -2,8 +2,11 @@
 
 A certificate consists of a rational bound, ten 3-vertex types, an ordered
 list of 27 four-vertex flags per type (given by colour vectors), and a
-symmetric rational 27x27 matrix per type.  Verification checks, entirely in
-rational arithmetic:
+symmetric rational 27x27 matrix per type.  The types check this shape when
+they are built, from a file or in code: a `CertificateBlock` has a 3-vertex
+type, each of the 27 colour vectors once and a 27x27 `SymMatrix` Q, and a
+`Certificate` ten pairwise non-isomorphic types.  Verification checks,
+entirely in rational arithmetic:
 
   * every matrix is positive semidefinite;
   * for every 5-vertex model M_k the coefficient
@@ -20,7 +23,6 @@ used anywhere.
 from __future__ import annotations
 
 import math
-import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +31,8 @@ from importlib import resources
 
 import numpy as np
 
-from .exact import SymMatrix, format_rational, parse_rational, psd_check
+from .exact import (SymMatrix, _parse_integer, format_rational,
+                    parse_rational, psd_check)
 from .flags import (TypeSigma, _colour_code, flag_from_vector,
                     triangle_pair_counts)
 from .graphs import (ColouredGraph, _subset_listings, bad_family,
@@ -37,7 +40,6 @@ from .graphs import (ColouredGraph, _subset_listings, bad_family,
                      subgraph_class_counts)
 
 NUM_FLAGS = 27
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class CertificateError(ValueError):
@@ -51,11 +53,28 @@ class CertificateBlock:
     flags: tuple             # 27 Flags matching `vectors`
     Q: SymMatrix
 
+    def __post_init__(self):
+        if self.type_sigma.n != 3:
+            raise ValueError("a block's type must have 3 vertices")
+        _colour_code(self.type_sigma.entries)        # colours in 1..3
+        if sorted(map(_colour_code, self.vectors)) != list(range(NUM_FLAGS)):
+            raise ValueError("a block must list each of the 27 flag "
+                             "vectors once")
+        if self.Q.dim != NUM_FLAGS:
+            raise ValueError("a block's Q must be %dx%d, not %dx%d"
+                             % (NUM_FLAGS, NUM_FLAGS, self.Q.dim, self.Q.dim))
+
 
 @dataclass(frozen=True)
 class Certificate:
     bound: Fraction
     blocks: tuple
+
+    def __post_init__(self):
+        keys = [canonical_key(b.type_sigma) for b in self.blocks]
+        if len(keys) != 10 or len(set(keys)) != 10:
+            raise ValueError("a certificate needs ten pairwise "
+                             "non-isomorphic types")
 
 
 @dataclass
@@ -95,19 +114,15 @@ class VerificationReport:
 
 def _integers(line: str, ln: int) -> list:
     """The entries of a TYPE or FLAGS row: ASCII decimal integers."""
-    toks = line.split()
-    bad = next((t for t in toks if not _INTEGER.fullmatch(t)), None)
-    if bad is not None:
-        raise CertificateError("line %d: not an integer: %.40r" % (ln, bad))
     try:
-        return [int(t) for t in toks]
-    except ValueError as exc:      # beyond the int-string digit limit
+        return [_parse_integer(t) for t in line.split()]
+    except ValueError as exc:
         raise CertificateError("line %d: %s" % (ln, exc)) from exc
 
 
 def load_certificate(text: str) -> Certificate:
-    """Parse and structurally validate a certificate in the line-oriented
-    FLAGCERT format."""
+    """Parse a certificate in the line-oriented FLAGCERT format.  Token errors
+    name their line; the types' own structural errors name the block."""
     lines = text.splitlines()
     pos = 0
 
@@ -143,10 +158,6 @@ def load_certificate(text: str) -> Certificate:
             if len(row) != 3:
                 raise CertificateError("line %d: type row needs 3 entries" % ln)
             rows.append(row)
-        try:
-            sigma = ColouredGraph.from_matrix(rows)
-        except ValueError as exc:
-            raise CertificateError("block %d: bad type matrix: %s" % (r, exc))
         tag, ln = next_line()
         if tag != "FLAGS %d" % NUM_FLAGS:
             raise CertificateError("line %d: expected 'FLAGS %d'" % (ln, NUM_FLAGS))
@@ -159,9 +170,6 @@ def load_certificate(text: str) -> Certificate:
                     "line %d: block %d flag %d: colours must be in 1..3"
                     % (ln, r, fi + 1))
             vectors.append(vec)
-        if len(set(vectors)) != NUM_FLAGS:
-            raise CertificateError("block %d: duplicate flag vectors" % r)
-        flags = tuple(flag_from_vector(sigma, v) for v in vectors)
         tag, ln = next_line()
         if tag != "Q %d" % NUM_FLAGS:
             raise CertificateError("line %d: expected 'Q %d'" % (ln, NUM_FLAGS))
@@ -177,21 +185,21 @@ def load_certificate(text: str) -> Certificate:
                 qrows.append([parse_rational(t) for t in toks])
             except ValueError as exc:
                 raise CertificateError("line %d: bad rational: %s" % (ln, exc))
-        for i in range(NUM_FLAGS):
-            for j in range(i):
-                if qrows[i][j] != qrows[j][i]:
-                    raise CertificateError(
-                        "block %d: Q not symmetric at (%d, %d)" % (r, j + 1, i + 1))
-        blocks.append(CertificateBlock(sigma, tuple(vectors), flags,
-                                       SymMatrix(qrows)))
+        try:
+            sigma = ColouredGraph.from_matrix(rows)
+            flags = tuple(flag_from_vector(sigma, v) for v in vectors)
+            blocks.append(CertificateBlock(sigma, tuple(vectors), flags,
+                                           SymMatrix(qrows)))
+        except ValueError as exc:
+            raise CertificateError("block %d: %s" % (r, exc)) from exc
     for extra in range(pos, len(lines)):
         if lines[extra].strip():
             raise CertificateError(
                 "line %d: unexpected text after block 10" % (extra + 1))
-    types_seen = {canonical_key(b.type_sigma) for b in blocks}
-    if len(types_seen) != 10:
-        raise CertificateError("the ten types are not pairwise non-isomorphic")
-    return Certificate(bound, tuple(blocks))
+    try:
+        return Certificate(bound, tuple(blocks))
+    except ValueError as exc:
+        raise CertificateError(str(exc)) from exc
 
 
 def serialize_certificate(cert: Certificate) -> str:
@@ -263,9 +271,6 @@ def coefficient_table(cert: Certificate) -> CoefficientTable:
         lo, hi = np.searchsorted(data.cells, (t * span, (t + 1) * span))
         model, cell = np.divmod(data.cells[lo:hi] - t * span, 27 * 27)
         codes = [_colour_code(v) for v in block.vectors]
-        if sorted(codes) != list(range(NUM_FLAGS)):
-            raise ValueError("a block must list each of the 27 flag "
-                             "vectors once")
         index = np.argsort(codes)       # flag code -> position in the block
         pairs = list(zip(index[cell // 27].tolist(),
                          index[cell % 27].tolist()))

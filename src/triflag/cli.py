@@ -56,6 +56,13 @@ def _load_graph(path):
         return parse_graph(fh.read())
 
 
+def _load_certificate(path):
+    if not path:
+        return cert_mod.load_shipped_certificate()
+    with open(path) as fh:
+        return cert_mod.load_certificate(fh.read())
+
+
 def cmd_enumerate(args) -> int:
     models = enumerate_models(args.n, args.k)
     expected = count_models_polya(args.n, args.k)
@@ -73,16 +80,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inputs = []
-    if args.cert:
-        inputs.append(args.cert)
-        with open(args.cert) as fh:
-            cert = cert_mod.load_certificate(fh.read())
-    else:
-        cert = cert_mod.load_shipped_certificate()
-    table = cert_mod.coefficient_table(cert)
-    report = cert_mod.verify(cert, table)
-    lines = _stamp(inputs)
+    cert = _load_certificate(args.cert)
+    report = cert_mod.verify(cert)
+    lines = _stamp([args.cert] if args.cert else [])
     if not args.cert:
         lines.append("input sha256=%s path=<shipped>"
                      % hashlib.sha256(
@@ -161,12 +161,7 @@ def cmd_goodman(args) -> int:
 
 
 def cmd_sdp_export(args) -> int:
-    if args.cert:
-        with open(args.cert) as fh:
-            cert = cert_mod.load_certificate(fh.read())
-    else:
-        cert = cert_mod.load_shipped_certificate()
-    table = cert_mod.coefficient_table(cert)
+    table = cert_mod.coefficient_table(_load_certificate(args.cert))
     sdp_mod.export_sdp(table, args.out)
     print("wrote %s (m=%d blocks=%d)"
           % (args.out, sdp_mod.NUM_MODELS, sdp_mod.NUM_BLOCKS))
@@ -175,17 +170,12 @@ def cmd_sdp_export(args) -> int:
 
 def cmd_sdp_round(args) -> int:
     solution = sdp_mod.parse_solution(args.solution)
-    template = None
-    if args.cert:
-        with open(args.cert) as fh:
-            template = cert_mod.load_certificate(fh.read())
     cert = sdp_mod.round_solution(solution, max_den=args.max_den,
-                                  template=template)
+                                  template=_load_certificate(args.cert))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(cert_mod.serialize_certificate(cert))
-    table = cert_mod.coefficient_table(cert)
-    report = cert_mod.verify(cert, table)
+    report = cert_mod.verify(cert)
     lines = _stamp([args.solution])
     lines.append("max_den=%d bound=%s" % (args.max_den,
                                           format_rational(cert.bound)))

@@ -32,6 +32,7 @@ import numpy as np
 
 DEFAULT_MAX_DEN = 10**7
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 # A proposed eigenvector is scaled to this largest entry and rounded.  The
 # rounding moves v^T M v by at most n |M| / 4 + |v| sqrt(n) |lambda|, far
 # below |v|^2 |lambda| >= 2^60 |lambda| > 256 n |M| once lambda is past the
@@ -63,6 +64,14 @@ def parse_rational(token: str) -> Fraction:
     return Fraction(int(num), den)
 
 
+def _parse_integer(token: str) -> int:
+    """An ASCII decimal integer with an optional sign (int() alone also
+    reads "1_0" and non-ASCII digits)."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError("not an integer: %.40r" % token)
+    return int(token)   # ValueError beyond the int-string digit limit
+
+
 def format_rational(x: Fraction) -> str:
     """Render a Fraction as "p/q", or "p" when the denominator is 1."""
     x = Fraction(x)
@@ -72,21 +81,24 @@ def format_rational(x: Fraction) -> str:
 
 
 class SymMatrix:
-    """Dense symmetric matrix of Fractions."""
+    """Dense symmetric matrix of Fractions.  The constructor is the one
+    square-and-symmetric check, and names a mismatch by its 1-based entry
+    above the diagonal; entries that are Fractions already are kept."""
 
     __slots__ = ("dim", "rows")
 
     def __init__(self, rows: Sequence[Sequence]):
         n = len(rows)
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        data = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
+                           for x in row) for row in rows)
         for row in data:
             if len(row) != n:
                 raise ValueError("matrix is not square")
         for i in range(n):
             for j in range(i):
                 if data[i][j] != data[j][i]:
-                    raise ValueError(
-                        "matrix is not symmetric at (%d, %d)" % (i, j))
+                    raise ValueError("matrix is not symmetric at (%d, %d)"
+                                     % (j + 1, i + 1))
         self.dim = n
         self.rows = data
 

@@ -27,10 +27,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certificate import (_INTEGER, NUM_FLAGS, Certificate, CertificateBlock,
+from .certificate import (NUM_FLAGS, Certificate, CertificateBlock,
                           CoefficientTable, load_shipped_certificate,
                           model_data)
-from .exact import DEFAULT_MAX_DEN, SymMatrix, rational_reconstruct
+from .exact import (DEFAULT_MAX_DEN, SymMatrix, _parse_integer,
+                    rational_reconstruct)
 
 NUM_MODELS = 792
 NUM_BLOCKS = 11          # ten flag blocks + one diagonal slack block
@@ -104,11 +105,9 @@ def export_sdp(table: CoefficientTable, path) -> None:
 
 
 def _integer(token: str, ln: int) -> int:
-    if not _INTEGER.fullmatch(token):
-        raise SdpFormatError("line %d: not an integer: %.40r" % (ln, token))
     try:
-        return int(token)
-    except ValueError as exc:      # beyond the int-string digit limit
+        return _parse_integer(token)
+    except ValueError as exc:
         raise SdpFormatError("line %d: %s" % (ln, exc)) from exc
 
 
@@ -165,8 +164,9 @@ def parse_solution(path) -> SolverSolution:
 
     Expected layout: one line with the m dual values, then entry lines
     "matno blkno i j value" where matno 2 carries the matrix solution
-    (matno 1, the slack matrix, is ignored).  Off-diagonal entries are
-    symmetrized by averaging.
+    (matno 1, the slack matrix, is ignored).  A repeated entry keeps its
+    last value.  An off-diagonal entry given in both triangles takes the
+    average of the two, one given in a single triangle is mirrored.
     """
     with open(path) as fh:
         raw = fh.read().splitlines()
@@ -214,24 +214,12 @@ def parse_solution(path) -> SolverSolution:
                                  % (ln, blkno))
     if not seen_matrix:
         raise SdpFormatError("no matrix entries (matno 2) in solution file")
-    # a single-triangle entry is mirrored; when both triangles are present
-    # they are averaged, so asymmetric input symmetrizes deterministically
     blocks = [[[0.0] * NUM_FLAGS for _ in range(NUM_FLAGS)]
               for _ in range(10)]
-    for b in range(10):
-        for i in range(NUM_FLAGS):
-            for j in range(i, NUM_FLAGS):
-                upper = (b, i, j) in cells
-                lower = (b, j, i) in cells
-                if upper and lower and i != j:
-                    val = (cells[b, i, j] + cells[b, j, i]) / 2.0
-                elif upper:
-                    val = cells[b, i, j]
-                elif lower:
-                    val = cells[b, j, i]
-                else:
-                    continue
-                blocks[b][i][j] = blocks[b][j][i] = val
+    for (b, i, j), val in cells.items():
+        if i != j and (b, j, i) in cells:
+            val = (val + cells[b, j, i]) / 2.0    # the same from either side
+        blocks[b][i][j] = blocks[b][j][i] = val
     return SolverSolution(blocks=blocks, slack=slack, y=y)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import triflag
 
 # The public names of the package.  Adding or removing one is an API
@@ -26,3 +28,16 @@ PUBLIC_NAMES = [
 
 def test_public_surface_is_pinned():
     assert sorted(triflag.__all__) == PUBLIC_NAMES
+
+
+# The dataclass fields the benchmark under perfbench/ reads and passes to
+# dataclasses.replace(); renaming one breaks it.
+def test_benchmark_fields_are_pinned():
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(triflag.Certificate) == ["bound", "blocks"]
+    assert names(triflag.CertificateBlock) == ["type_sigma", "vectors",
+                                               "flags", "Q"]
+    assert names(triflag.CoefficientTable) == ["model_keys", "counts",
+                                               "valid_injections"]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -62,7 +63,24 @@ def test_loader_rejects_asymmetric_q(shipped_cert):
     row = lines[q_start].split()
     row[1] = "99999/7"
     lines[q_start] = " ".join(row)
-    with pytest.raises(CertificateError, match="symmetric"):
+    with pytest.raises(CertificateError,
+                       match=r"block 1: .*not symmetric at \(1, 2\)"):
+        load_certificate("\n".join(lines) + "\n")
+
+
+def test_loader_rejects_duplicate_flag_vectors(shipped_cert):
+    lines = serialize_certificate(shipped_cert).splitlines()
+    f_start = [i for i, ln in enumerate(lines) if ln == "FLAGS 27"][3] + 1
+    lines[f_start + 5] = lines[f_start + 6]
+    with pytest.raises(CertificateError, match="block 4: .*27 flag vectors"):
+        load_certificate("\n".join(lines) + "\n")
+
+
+def test_loader_rejects_a_repeated_type(shipped_cert):
+    lines = serialize_certificate(shipped_cert).splitlines()
+    t1, t2 = (lines.index("TYPE %d" % r) + 1 for r in (1, 2))
+    lines[t2:t2 + 3] = lines[t1:t1 + 3]
+    with pytest.raises(CertificateError, match="non-isomorphic"):
         load_certificate("\n".join(lines) + "\n")
 
 
@@ -189,12 +207,38 @@ def test_relabelled_table_is_the_reindexed_shipped_table(shipped_cert,
 
 
 def test_table_rejects_a_block_without_all_27_vectors(shipped_cert):
+    # the block itself refuses, so no table is ever built from it
     b = shipped_cert.blocks[2]
     vectors = (b.vectors[1],) + b.vectors[1:]
-    blocks = list(shipped_cert.blocks)
-    blocks[2] = CertificateBlock(b.type_sigma, vectors, b.flags, b.Q)
     with pytest.raises(ValueError, match="27 flag vectors"):
-        coefficient_table(Certificate(shipped_cert.bound, tuple(blocks)))
+        CertificateBlock(b.type_sigma, vectors, b.flags, b.Q)
+
+
+def _resized(Q, n):
+    return SymMatrix([[Q.rows[i][j] if i < 27 and j < 27 else 0
+                       for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda b: dict(vectors=b.vectors[:26], flags=b.flags[:26]),
+     "27 flag vectors"),
+    (lambda b: dict(Q=_resized(b.Q, 26)), "27x27, not 26x26"),
+    (lambda b: dict(Q=_resized(b.Q, 28)), "27x27, not 28x28"),
+    (lambda b: dict(type_sigma=ColouredGraph(4, 3, (1,) * 6)),
+     "3 vertices"),
+], ids=["26 vectors", "26x26 Q", "28x28 Q", "4-vertex type"])
+def test_block_rejects_a_bad_shape_at_construction(shipped_cert, change,
+                                                   match):
+    b = shipped_cert.blocks[1]
+    with pytest.raises(ValueError, match=match):
+        replace(b, **change(b))
+
+
+def test_certificate_rejects_repeated_or_missing_types(shipped_cert):
+    blocks = shipped_cert.blocks
+    for bad in (blocks[:1] + blocks[:9], blocks[:9], blocks + blocks[:1]):
+        with pytest.raises(ValueError, match="ten pairwise non-isomorphic"):
+            Certificate(shipped_cert.bound, bad)
 
 
 def test_table_symmetry_and_sum_rule(shipped_table):

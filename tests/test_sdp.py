@@ -73,6 +73,18 @@ def test_parse_solution_symmetrizes(tmp_path):
     _write_solution(path, ["2 1 1 2 0.4", "2 1 2 1 0.6"])
     sol = parse_solution(path)
     assert sol.blocks[0][0][1] == sol.blocks[0][1][0] == 0.5
+    # a lower-triangle entry alone is mirrored into the upper triangle
+    _write_solution(path, ["2 3 5 2 0.25", "2 3 4 4 -1.5"])
+    sol = parse_solution(path)
+    assert sol.blocks[2][4][1] == sol.blocks[2][1][4] == 0.25
+    assert sol.blocks[2][3][3] == -1.5
+    assert sum(x != 0 for row in sol.blocks[2] for x in row) == 3
+    # a repeated line keeps its last value, before the averaging
+    _write_solution(path, ["2 1 1 2 9.0", "2 1 2 1 0.6", "2 1 1 2 0.4",
+                           "2 1 3 3 7.0", "2 1 3 3 2.0"])
+    sol = parse_solution(path)
+    assert sol.blocks[0][0][1] == sol.blocks[0][1][0] == 0.5
+    assert sol.blocks[0][2][2] == 2.0
 
 
 def test_parse_solution_errors(tmp_path):
