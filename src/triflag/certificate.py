@@ -90,9 +90,6 @@ class CoefficientTable:
     counts: list            # per block: dict key -> dict (i, j) -> int
     valid_injections: list  # per block: dict key -> int
 
-    def entry(self, r: int, key: bytes, i: int, j: int) -> Fraction:
-        return Fraction(self.counts[r][key].get((i, j), 0), 120)
-
 
 @dataclass
 class VerificationReport:

@@ -15,7 +15,7 @@ from importlib import metadata
 
 from . import certificate as cert_mod
 from . import sdp as sdp_mod
-from .exact import format_rational
+from .exact import DEFAULT_MAX_DEN, format_rational
 from .graphs import (SizeLimitError, corollary_value,
                      count_models_polya, enumerate_models, format_graph,
                      goodman, mono_triangles, parse_graph)
@@ -94,15 +94,12 @@ def cmd_verify(args) -> int:
 
 def cmd_extremal(args) -> int:
     from .extremal import build_gex
-    G = build_gex(args.n, args.k)
+    G = build_gex(args.n)
     tri = mono_triangles(G)["total"]
-    formula = corollary_value(args.n) if args.k == 3 else None
+    formula = corollary_value(args.n)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(format_graph(G))
-    if formula is None:
-        print("triangles=%d" % tri)
-        return 0
     print("triangles=%d formula=%d %s"
           % (tri, formula, "OK" if tri == formula else "MISMATCH"))
     return 0 if tri == formula else 1
@@ -207,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("extremal", help="build the blow-up construction")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, default=3)
     sp.add_argument("--out", help="write the graph here")
     sp.set_defaults(func=cmd_extremal)
 
@@ -238,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sdp-round",
                         help="round a solver solution and verify it")
     sp.add_argument("solution", help="solver solution file")
-    sp.add_argument("--max-den", type=int, default=4 * 10**6)
+    sp.add_argument("--max-den", type=int, default=DEFAULT_MAX_DEN)
     sp.add_argument("--cert", help="template certificate for the layout")
     sp.add_argument("--out", help="write the rounded certificate here")
     sp.set_defaults(func=cmd_sdp_round)

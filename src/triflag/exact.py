@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-DEFAULT_MAX_DEN = 10**7
+DEFAULT_MAX_DEN = 4 * 10**6
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 # A proposed eigenvector is scaled to this largest entry and rounded.  The
@@ -101,20 +101,6 @@ class SymMatrix:
                                      % (j + 1, i + 1))
         self.dim = n
         self.rows = data
-
-    @classmethod
-    def identity(cls, n: int) -> "SymMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, diag: Sequence) -> "SymMatrix":
-        n = len(diag)
-        return cls([[Fraction(diag[i]) if i == j else Fraction(0)
-                     for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
 
     def __eq__(self, other):
         return isinstance(other, SymMatrix) and self.rows == other.rows
@@ -313,6 +299,6 @@ def rational_reconstruct(x, max_den: int = DEFAULT_MAX_DEN) -> Fraction:
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
     if isinstance(x, float):
-        x = repr(x)
+        x = repr(float(x))      # np.float64 reprs as "np.float64(0.5)"
     exact = Fraction(x)
     return exact.limit_denominator(max_den)

@@ -1,12 +1,10 @@
 """The extremal construction, membership in the extremal family, and the
 exact small-n minimum.
 
-The blow-up construction replaces the vertices of a monochromatic-triangle-
-free (k-1)-colouring of a small complete graph by balanced vertex classes,
-fills the classes with the remaining colour, and inherits the base colouring
-across classes.  For the default 3-colour case the base is the unique
-triangle-free 2-colouring of K_5 (green 5-cycle plus blue complement) and the
-class-filling colour is red.
+The construction G_ex(n) is the balanced blow-up of the unique triangle-free
+2-colouring of K_5 (green 5-cycle plus blue complement): each base vertex
+becomes a vertex class, edges inside a class are red, and cross edges take
+the colour of the base edge between their classes.
 
 Membership in the wider extremal family additionally allows recolouring a
 matching between any two classes with the clique colour, as long as no new
@@ -65,48 +63,27 @@ def pentagon_base() -> ColouredGraph:
     return ColouredGraph.from_matrix(rows)
 
 
-def _fill_colour(base: ColouredGraph, k: int) -> int:
-    used = set(base.entries)
-    free = [c for c in range(1, k + 1) if c not in used]
-    if not free:
-        raise ValueError("base colouring leaves no colour for the classes")
-    return free[0]
-
-
 def class_sizes(n: int, m: int) -> list[int]:
     """Balanced class sizes, larger classes first."""
     q, r = divmod(n, m)
     return [q + 1] * r + [q] * (m - r)
 
 
-def build_gex(n: int, k: int = 3, base: ColouredGraph | None = None) -> ColouredGraph:
-    """Balanced blow-up of a triangle-free base colouring.
+def build_gex(n: int) -> ColouredGraph:
+    """The balanced blow-up G_ex(n) of the pentagon colouring.
 
     Classes take the sizes from class_sizes (deterministic layout, larger
-    classes on the lower base vertices), intra-class edges take the colour
-    the base does not use, and cross edges inherit the base colouring.
+    classes on the lower base vertices), intra-class edges are red (colour
+    1), and cross edges inherit the base colouring.
     """
-    if base is None:
-        base = pentagon_base()
-    m = base.n
-    if n < m:
-        raise ValueError("n must be at least |base| = %d" % m)
-    if mono_triangles(base)["total"] != 0:
-        raise ValueError("base colouring has a monochromatic triangle")
-    fill = _fill_colour(base, k)
-    sizes = class_sizes(n, m)
-    owner = []
-    for ci, size in enumerate(sizes):
-        owner.extend([ci] * size)
-    rows = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            if owner[u] == owner[v]:
-                c = fill
-            else:
-                c = base.colour(owner[u], owner[v])
-            rows[u][v] = rows[v][u] = c
-    return ColouredGraph.from_matrix(rows, k)
+    if n < 5:
+        raise ValueError("n must be at least |base| = 5")
+    base = pentagon_base()
+    owner = [ci for ci, size in enumerate(class_sizes(n, 5))
+             for _ in range(size)]
+    return ColouredGraph(n, 3, [
+        1 if owner[u] == owner[v] else base.colour(owner[u], owner[v])
+        for u in range(n) for v in range(u + 1, n)])
 
 
 def _sizes_feasible(classes, size_pool) -> bool:
@@ -222,7 +199,7 @@ def brute_min_mono(n: int, k: int):
     keys.  Exhaustive up to isomorphism; limited to (k=2, n<=7) and
     (k=3, n<=6)."""
     from .graphs import enumerate_models
-    if not ((k == 2 and n <= 7) or (k == 3 and n <= 6) or (k == 1 and n <= 7)):
+    if not ((k == 2 and n <= 7) or (k == 3 and n <= 6)):
         raise SizeLimitError("brute force limited to k=2 n<=7 / k=3 n<=6")
     best = None
     minimisers = []

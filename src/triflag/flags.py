@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -147,8 +147,9 @@ def _respects(model_mat, sigma: TypeSigma, theta) -> bool:
 
 def enumerate_flags(sigma: TypeSigma, l: int) -> list[Flag]:
     """One representative per flag-isomorphism class of sigma-flags on l
-    vertices, in deterministic (key-sorted; colour-vector for the 3/4 case)
-    order."""
+    vertices, in key order.  For a 3-vertex type and l = 4 the key order is
+    the colour-vector order: the flags' `vector_of_flag`s are
+    `product((1, 2, 3), repeat=3)`."""
     s = sigma.n
     if l < s:
         raise ValueError("l must be >= |sigma|")
@@ -156,9 +157,6 @@ def enumerate_flags(sigma: TypeSigma, l: int) -> list[Flag]:
         raise SizeLimitError("flags over 3-vertex types limited to l <= 5")
     if l == s:
         return [identity_flag(sigma)]
-    if s == 3 and l == 4:
-        return [flag_from_vector(sigma, v)
-                for v in product((1, 2, 3), repeat=3)]
     out: dict[bytes, Flag] = {}
     for M in enumerate_models(l, sigma.k):
         mat = M.matrix()

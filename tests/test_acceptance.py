@@ -7,7 +7,7 @@ pass line; any assertion failure marks the criterion failed.
 import random
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -23,7 +23,7 @@ from triflag.flags import (Flag, enumerate_flags, flag_from_vector,
                            verify_chain_rule)
 from triflag.graphs import (ColouredGraph, canonical_key, corollary_value,
                             count_models_polya, enumerate_models, goodman,
-                            mono_triangles, subgraph_class_counts)
+                            mono_triangles)
 
 
 def report(line):
@@ -87,9 +87,18 @@ def test_criterion_05_extremal_zeroes(shipped_cert, shipped_report):
     occurring = [key for key, lam, occ in rows if occ]
     assert occurring
     assert all(lam == 0 for key, lam, occ in rows if occ)
-    # independent occurrence check by brute force over induced 5-subsets
-    brute = set(subgraph_class_counts(build_gex(25), 5))
-    assert set(occurring) == brute
+    # independent occurrence check: a 5-subset of G_ex(25) is determined up
+    # to isomorphism by how many vertices it takes from each class, so the
+    # 126 class compositions, keyed by the label-free reference Flag.key,
+    # give every induced model
+    G = build_gex(25)
+    classes = [range(5 * c, 5 * c + 5) for c in range(5)]
+    compositions = [m for m in product(range(6), repeat=5) if sum(m) == 5]
+    assert len(compositions) == 126
+    induced = {Flag(G.induced([v for cls, k in zip(classes, m)
+                               for v in cls[:k]]), ()).key()
+               for m in compositions}
+    assert set(occurring) == induced
     report("criterion 5: PASS - lambda = 0 on all %d models induced in "
            "the 25-vertex construction" % len(occurring))
 

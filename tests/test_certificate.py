@@ -141,11 +141,16 @@ def test_loader_mutation_fuzz_raises_only_certificate_error(shipped_cert,
                         % (case, type(exc).__name__, exc))
 
 
+def table_entry(table, r, key, i, j) -> Fraction:
+    """A_r[key][i][j]: the table holds 120 times it as an integer."""
+    return Fraction(table.counts[r][key].get((i, j), 0), 120)
+
+
 def test_table_identity_entries(shipped_cert, shipped_table):
     key = bytes(all_red_k5().entries)
     block0 = shipped_cert.blocks[0]
     i = block0.vectors.index((1, 1, 1))
-    assert shipped_table.entry(0, key, i, i) == 1
+    assert table_entry(shipped_table, 0, key, i, i) == 1
     assert shipped_table.valid_injections[0][key] == 60
 
 
@@ -188,7 +193,7 @@ def test_table_matches_avg_coefficient_spot_checks(shipped_cert,
                                                     block.vectors[i]),
                                    flag_from_vector(block.type_sigma,
                                                     block.vectors[j]), M)
-            assert table.entry(r, bytes(M.entries), i, j) == want
+            assert table_entry(table, r, bytes(M.entries), i, j) == want
     assert lambda_vector(moved, moved_table) == \
         lambda_vector(shipped_cert, shipped_table)
 
@@ -267,7 +272,7 @@ def fraction_lambdas(cert, table):
         mono = mono_triangles(ColouredGraph(5, 3, tuple(key)))["total"]
         lam = Fraction(mono, 10) - cert.bound
         for block, counts in zip(cert.blocks, table.counts):
-            lam -= sum(block.Q[i, j] * Fraction(c, 120)
+            lam -= sum(block.Q.rows[i][j] * Fraction(c, 120)
                        for (i, j), c in counts[key].items())
         out[key] = lam
     return out

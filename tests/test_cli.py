@@ -10,8 +10,8 @@ import triflag
 from triflag.certificate import (Certificate, CertificateBlock,
                                  serialize_certificate,
                                  shipped_certificate_text)
-from triflag.exact import SymMatrix
-from triflag.cli import main
+from triflag.exact import DEFAULT_MAX_DEN, SymMatrix
+from triflag.cli import build_parser, main
 from triflag.extremal import build_gex
 from triflag.graphs import format_graph, parse_graph
 
@@ -167,6 +167,18 @@ def test_extremal_and_count_and_check(tmp_path, capsys):
     code, stdout, _ = run(capsys, "check-gn", str(graph))
     assert code == 0
     assert "member" in stdout
+
+
+def test_extremal_has_no_colour_count_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["extremal", "--n", "11", "--k", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --k 3" in capsys.readouterr().err
+
+
+def test_sdp_round_default_max_den_is_the_library_default():
+    args = build_parser().parse_args(["sdp-round", "solution.txt"])
+    assert args.max_den == DEFAULT_MAX_DEN == 4 * 10**6
 
 
 @pytest.mark.parametrize("n, k, entries, want", [

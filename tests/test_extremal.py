@@ -47,9 +47,6 @@ def test_build_gex_small_cases():
 def test_build_gex_validation():
     with pytest.raises(ValueError):
         build_gex(4)
-    bad_base = ColouredGraph(3, 3, (2, 2, 2))
-    with pytest.raises(ValueError):
-        build_gex(9, base=bad_base)
 
 
 def test_count_identity_over_range():

@@ -96,6 +96,12 @@ def test_four_vertex_flags_biject_with_colour_vectors():
         assert keys == vector_keys
 
 
+def test_four_vertex_flags_come_in_colour_vector_order():
+    for sigma in ten_types():
+        assert [vector_of_flag(F) for F in enumerate_flags(sigma, 4)] == \
+            list(product((1, 2, 3), repeat=3))
+
+
 def test_flag_density_basics():
     one = identity_flag(SIGMA1)
     big = Flag(mono_kn(5, 1), (0, 1, 2))

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from triflag.certificate import verify
+from triflag.exact import SymMatrix
 from triflag.graphs import ColouredGraph, mono_triangles
 from triflag.sdp import (NUM_BLOCKS, NUM_MODELS, SdpFormatError, export_sdp,
                          parse_sdp, parse_solution, round_solution)
@@ -246,6 +248,13 @@ def test_round_solution_all_zero_blocks_fail(shipped_table):
     report = verify(zero, shipped_table)
     assert not report.verified
     assert report.negative_lambda_keys
+
+
+def test_round_solution_takes_numpy_blocks():
+    rounded = round_solution([np.eye(27)] * 10)
+    identity = SymMatrix([[int(i == j) for j in range(27)]
+                          for i in range(27)])
+    assert all(b.Q == identity for b in rounded.blocks)
 
 
 @pytest.mark.parametrize("cell, value", [((0, 0), float("inf")),
