@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -81,14 +82,48 @@ class Certificate:
 class CoefficientTable:
     """Sparse exact table of product coefficients.
 
-    counts[r][model_key][(i, j)] holds 120 * A[r][model_key][i][j] as an
-    integer; valid_injections[r][model_key] is the number of labelled-
-    triangle injections inducing the block's type.
+    counts[r] is block r's read-only view: model key -> {(i, j): count},
+    count = 120 * A[r][model_key][i][j] as an integer (see `_BlockCounts`);
+    valid_injections[r][model_key] is the number of labelled-triangle
+    injections inducing the block's type.
     """
 
     model_keys: tuple
-    counts: list            # per block: dict key -> dict (i, j) -> int
+    counts: list            # per block: _BlockCounts
     valid_injections: list  # per block: dict key -> int
+
+
+class _BlockCounts(Mapping):
+    """One block of a `CoefficientTable`, kept as arrays: for every nonzero
+    cell, `model` (its model row), `pair` (i * 27 + j in the block's flag
+    order) and `count`, in ascending (model, pair) order; the cells of row
+    t are `start[t]:start[t + 1]`.  As a read-only mapping it gives
+    model key -> {(i, j): count}, built for one model when that model is
+    read.  `type_sigma` and `vectors` record the flag layout the counts
+    were built for."""
+
+    def __init__(self, block, keys, row, model, pair, count):
+        self.type_sigma = block.type_sigma
+        self.vectors = block.vectors
+        self._keys = keys
+        self._row = row
+        self.model = model
+        self.pair = pair
+        self.count = count
+        self.start = np.searchsorted(model, np.arange(len(keys) + 1))
+
+    def __getitem__(self, key):
+        t = self._row[key]
+        cells = slice(self.start[t], self.start[t + 1])
+        i, j = np.divmod(self.pair[cells], NUM_FLAGS)
+        return dict(zip(zip(i.tolist(), j.tolist()),
+                        self.count[cells].tolist()))
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
 
 
 @dataclass
@@ -119,9 +154,17 @@ def _integers(line: str, ln: int) -> list:
 
 def load_certificate(text: str) -> Certificate:
     """Parse a certificate in the line-oriented FLAGCERT format.  Token errors
-    name their line; the types' own structural errors name the block."""
+    name their line; the types' own structural errors name the block.  Each
+    distinct Q token is parsed once."""
     lines = text.splitlines()
     pos = 0
+    rationals = {}              # Q token -> its Fraction
+
+    def rational(token):
+        x = rationals.get(token)
+        if x is None:
+            x = rationals[token] = parse_rational(token)
+        return x
 
     def next_line():
         nonlocal pos
@@ -179,7 +222,7 @@ def load_certificate(text: str) -> Certificate:
                     "line %d: Q row %d needs %d entries, got %d"
                     % (ln, qi + 1, NUM_FLAGS, len(toks)))
             try:
-                qrows.append([parse_rational(t) for t in toks])
+                qrows.append([rational(t) for t in toks])
             except ValueError as exc:
                 raise CertificateError("line %d: bad rational: %s" % (ln, exc))
         try:
@@ -227,7 +270,8 @@ class ModelData:
     not depend on a certificate, all built at once from the batch of their
     listings:
 
-      * `keys`: the canonical keys, in enumeration order;
+      * `keys`: the canonical keys, in enumeration order, and `row`:
+        key -> its position in `keys`;
       * `bad`: key -> the bad-family keys the model contains, in
         bad_family() order;
       * `cells`, `cell_counts` and `valid`: the pair counts of all 27
@@ -238,6 +282,7 @@ class ModelData:
 
     def __init__(self):
         self.keys = tuple(bytes(M.entries) for M in enumerate_models(5, 3))
+        self.row = {key: t for t, key in enumerate(self.keys)}
         flats = np.frombuffer(b"".join(self.keys),
                               dtype=np.uint8).reshape(-1, 10)
         four = canonical_keys_batch(_subset_listings(flats, 5, 4), 4)
@@ -257,7 +302,8 @@ model_data = cache(ModelData)
 def coefficient_table(cert: Certificate) -> CoefficientTable:
     """Exact product-coefficient table over all 5-vertex models: for each
     block, the rows of its type in the model data's pair counts, with the
-    flag codes re-indexed into the block's flag order."""
+    flag codes re-indexed into the block's flag order, kept as the arrays
+    of a `_BlockCounts`."""
     data = model_data()
     g = len(data.keys)
     span = 27 * 27 * g          # cell codes of one labelled type
@@ -269,17 +315,10 @@ def coefficient_table(cert: Certificate) -> CoefficientTable:
         model, cell = np.divmod(data.cells[lo:hi] - t * span, 27 * 27)
         codes = [_colour_code(v) for v in block.vectors]
         index = np.argsort(codes)       # flag code -> position in the block
-        pairs = list(zip(index[cell // 27].tolist(),
-                         index[cell % 27].tolist()))
-        cell_counts = data.cell_counts[lo:hi].tolist()
-        ends = np.searchsorted(model, np.arange(1, g + 1)).tolist()
-        block_counts = {}
-        start = 0
-        for key, end in zip(data.keys, ends):
-            block_counts[key] = dict(zip(pairs[start:end],
-                                         cell_counts[start:end]))
-            start = end
-        counts.append(block_counts)
+        pair = index[cell // 27] * NUM_FLAGS + index[cell % 27]
+        order = np.argsort(model * NUM_FLAGS**2 + pair)
+        counts.append(_BlockCounts(block, data.keys, data.row, model[order],
+                                   pair[order], data.cell_counts[lo:hi][order]))
         valids.append(dict(zip(data.keys, data.valid[t].tolist())))
     return CoefficientTable(data.keys, counts, valids)
 
@@ -287,31 +326,48 @@ def coefficient_table(cert: Certificate) -> CoefficientTable:
 def lambda_vector(cert: Certificate, table: CoefficientTable) -> dict:
     """lambda_k for every model, exactly: integer numerators over one
     common denominator, 120 times the lcm of the bound's and every Q
-    entry's denominator."""
+    entry's denominator.
+
+    One pass per block: the block's scaled Q, flattened, is gathered by
+    the table's pair codes, multiplied by the counts and summed per model
+    with `np.add.at`.  The counts of one model add up to at most 120 over
+    the ten blocks, so every partial sum is below 120 * max|scaled q|: the
+    pass runs in int64 when that is below 2**63, checked in Python
+    integers, and otherwise the same pass runs on Python integers
+    (dtype=object).  Raises ValueError, naming the block, when the table
+    was built for another flag layout."""
+    for r, (block, counts) in enumerate(zip(cert.blocks, table.counts), 1):
+        if (counts.type_sigma != block.type_sigma
+                or counts.vectors != block.vectors):
+            raise ValueError("block %d: the coefficient table was built for "
+                             "another type or flag order" % r)
     den = math.lcm(cert.bound.denominator,
                    *(x.denominator for block in cert.blocks
                      for row in block.Q.rows for x in row))
     bound = cert.bound.numerator * (den // cert.bound.denominator) * 120
-    scaled_q = [[[x.numerator * (den // x.denominator) for x in row]
-                 for row in block.Q.rows] for block in cert.blocks]
+    scaled_q = [[x.numerator * (den // x.denominator)
+                 for row in block.Q.rows for x in row]
+                for block in cert.blocks]
+    top = max(abs(x) for q in scaled_q for x in q)
+    dtype = np.int64 if 120 * top < 2**63 else object
+    sums = np.zeros(len(table.model_keys), dtype=dtype)
+    for q, counts in zip(scaled_q, table.counts):
+        np.add.at(sums, counts.model, np.array(q, dtype=dtype)[counts.pair]
+                  * counts.count.astype(dtype))
     mono = model_data().mono
-    out = {}
-    for key in table.model_keys:
-        num = 12 * den * mono[key] - bound
-        for q, counts in zip(scaled_q, table.counts):
-            num -= sum(q[i][j] * c for (i, j), c in counts[key].items())
-        out[key] = Fraction(num, 120 * den)
-    return out
+    return {key: Fraction(12 * den * mono[key] - bound - s, 120 * den)
+            for key, s in zip(table.model_keys, sums.tolist())}
 
 
 def verify(cert: Certificate, table: CoefficientTable | None = None) -> VerificationReport:
-    """Full exact verification; failures are report content, never raised."""
+    """Full exact verification; failures are report content, never raised.
+    A `table` built for another flag layout raises ValueError."""
     start = time.monotonic()
-    verdicts = [psd_check(block.Q) for block in cert.blocks]
-    psd_ok = [v.is_psd for v in verdicts]
     if table is None:
         table = coefficient_table(cert)
     lambdas = lambda_vector(cert, table)
+    verdicts = [psd_check(block.Q) for block in cert.blocks]
+    psd_ok = [v.is_psd for v in verdicts]
     negative = sorted(key for key, lam in lambdas.items() if lam < 0)
     min_lambda = min(lambdas.values()) if lambdas else None
 
@@ -364,7 +420,8 @@ def extremal_zero_report(cert: Certificate,
     occurs tells whether the model is an induced 5-subset of the 25-vertex
     extremal construction.  A certificate whose bound is tight has lambda
     exactly 0 on every model that occurs; the rows report this, they do not
-    enforce it."""
+    enforce it.  A `table` built for another flag layout raises
+    ValueError."""
     from .extremal import build_gex
     if lambdas is None:
         if table is None:

@@ -11,21 +11,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from importlib import metadata
 
+from . import __version__
 from . import certificate as cert_mod
 from . import sdp as sdp_mod
 from .exact import DEFAULT_MAX_DEN, format_rational
 from .graphs import (SizeLimitError, corollary_value,
                      count_models_polya, enumerate_models, format_graph,
                      goodman, mono_triangles, parse_graph)
-
-
-def _version() -> str:
-    try:
-        return metadata.version("triflag")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def _sha256(path) -> str:
@@ -37,7 +30,7 @@ def _sha256(path) -> str:
 
 
 def _stamp(inputs=()) -> list:
-    lines = ["triflag %s" % _version()]
+    lines = ["triflag %s" % __version__]
     for path in inputs:
         lines.append("input sha256=%s path=%s" % (_sha256(path), path))
     return lines
@@ -187,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tools for the minimum monochromatic-triangle "
                     "density 1/25 in 3-coloured complete graphs.")
     p.add_argument("--version", action="version",
-                   version="triflag " + _version())
+                   version="triflag " + __version__)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("enumerate",

@@ -15,17 +15,20 @@ A float may only propose such a witness.  Before eliminating, `psd_check`
 asks a float64 eigensolver for a clearly negative eigenvalue; its
 eigenvector, rounded to an integer vector v, is a NotPSD verdict only when
 the exact sum v^T M v is negative.  Every other case, and every PSD verdict
-with its rank and factorization, comes from the elimination alone.  This is
-the "numeric solve, exact check" pattern of Peyrl and Parrilo (2008), and it
-spares the elimination's long minors on blocks that are far from PSD.
+with its rank, comes from the elimination alone; a PSD verdict keeps the
+elimination's integer pivot rows and reads its rational factorization from
+them only when asked.  This is the "numeric solve, exact check" pattern of
+Peyrl and Parrilo (2008), and it spares the elimination's long minors on
+blocks that are far from PSD.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -95,10 +98,12 @@ class SymMatrix:
             if len(row) != n:
                 raise ValueError("matrix is not square")
         for i in range(n):
-            for j in range(i):
-                if data[i][j] != data[j][i]:
-                    raise ValueError("matrix is not symmetric at (%d, %d)"
-                                     % (j + 1, i + 1))
+            # a tuple comparison tries identity first, and a loaded
+            # certificate shares one Fraction between equal tokens
+            if data[i][:i] != tuple(row[i] for row in data[:i]):
+                j = next(j for j in range(i) if data[i][j] != data[j][i])
+                raise ValueError("matrix is not symmetric at (%d, %d)"
+                                 % (j + 1, i + 1))
         self.dim = n
         self.rows = data
 
@@ -149,13 +154,27 @@ class LdlFactorization:
 
 @dataclass(frozen=True)
 class PsdVerdict:
+    """The verdict of `psd_check`.  A NotPSD verdict carries a rational
+    witness v with v^T M v < 0.  A PSD verdict carries its rank and keeps
+    the integer pivot rows and row scales of its elimination;
+    `factorization`, M = L diag(d) L^T, is read from them on first access,
+    so a verdict can always be re-checked but only a caller that asks pays
+    for the rational factors."""
+
     is_psd: bool
     witness: tuple | None = None        # rational v with v^T M v < 0
-    factorization: LdlFactorization | None = None
     rank: int | None = None             # nonzero pivots, when PSD
+    _pivots: tuple | None = field(default=None, repr=False)  # (A, scale)
 
     def __bool__(self):
         return self.is_psd
+
+    @cached_property
+    def factorization(self) -> LdlFactorization | None:
+        if self._pivots is None:
+            return None
+        L, diag = _factors(*self._pivots, None)
+        return LdlFactorization(tuple(map(tuple, L)), tuple(diag))
 
 
 def _exact_quotients(values: list, den: int) -> list:
@@ -172,49 +191,68 @@ def _exact_quotients(values: list, den: int) -> list:
 def _eliminate(M: SymMatrix):
     """Run pivot-free symmetric elimination of M.
 
-    Returns (L, diag, fail): M = L diag(diag) L^T when fail is None,
-    otherwise fail is (step, kind, row) with kind in {"negative",
-    "zero_pivot"}; for a zero pivot, row is an index below the pivot with a
-    nonzero residual entry.  L and diag are filled up to the failed step.
+    Returns (A, scale, fail).  fail is None when the elimination ran to
+    completion with every pivot >= 0, so that M is PSD; otherwise it is
+    (step, kind, row) with kind in {"negative", "zero_pivot"}; for a zero
+    pivot, row is an index below the pivot with a nonzero residual entry.
 
     The elimination is Bareiss's, on the integer matrix A = S M S with
-    S = diag(s_i), s_i the lcm of the denominators in row i (one lcm for
-    the whole matrix can have hundreds of digits).  After the step with
-    pivot p, the rows below hold p times the Schur complement, so every
+    S = diag(s_i), s_i = scale[i] the lcm of the denominators in row i (one
+    lcm for the whole matrix can have hundreds of digits).  After the step
+    with pivot p, the rows below hold p times the Schur complement, so every
     division by the previous nonzero pivot p' is exact.  A zero pivot with
     a zero remaining row is skipped and leaves the matrix and p' alone.
-    The rational factors of M are read from the pivot row j:
-    d_j = p / (p' s_j^2) and L_ij = A_ji s_j / (p s_i).
+    Row j of the returned A, from column j on, is the pivot row of step j,
+    for every step up to the failed one.  The rational factors of M are
+    read from it by `_factors`: d_j = p / (p' s_j^2) and
+    L_ij = A_ji s_j / (p s_i).
     """
     n = M.dim
     scale = [math.lcm(*(x.denominator for x in row)) for row in M.rows]
     A = [[x.numerator * (scale[i] // x.denominator) * scale[j]
           for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
-    zero, one = Fraction(0), Fraction(1)
-    L = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    diag = [zero] * n
     prev = 1
     for j in range(n):
         Aj = A[j]
         piv = Aj[j]
-        if piv:
-            diag[j] = Fraction(piv, prev * scale[j] ** 2)
         if piv < 0:
-            return L, diag, (j, "negative", j)
+            return A, scale, (j, "negative", j)
         if piv == 0:
             for i in range(j + 1, n):
                 if Aj[i]:
-                    return L, diag, (j, "zero_pivot", i)
+                    return A, scale, (j, "zero_pivot", i)
             continue
         for i in range(j + 1, n):
             a = Aj[i]
-            if a:
-                L[i][j] = Fraction(a * scale[j], piv * scale[i])
             Ai = A[i]
             Ai[i:] = _exact_quotients(
                 [piv * x - a * y for x, y in zip(Ai[i:], Aj[i:])], prev)
         prev = piv
-    return L, diag, None
+    return A, scale, None
+
+
+def _factors(A, scale, fail):
+    """The rational (L, diag) of `_eliminate`'s result, by the formulas in
+    its docstring: M = L diag(diag) L^T when fail is None.  After a failed
+    step, L is filled up to that step and diag up to and including it."""
+    n = len(A)
+    zero, one = Fraction(0), Fraction(1)
+    L = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    diag = [zero] * n
+    prev = 1
+    for j in range(n if fail is None else fail[0] + 1):
+        Aj = A[j]
+        piv = Aj[j]
+        if not piv:
+            continue
+        diag[j] = Fraction(piv, prev * scale[j] ** 2)
+        if piv < 0:
+            break
+        for i in range(j + 1, n):
+            if Aj[i]:
+                L[i][j] = Fraction(Aj[i] * scale[j], piv * scale[i])
+        prev = piv
+    return L, diag
 
 
 def _proposed_witness(M: SymMatrix) -> tuple | None:
@@ -248,17 +286,19 @@ def _proposed_witness(M: SymMatrix) -> tuple | None:
 
 
 def psd_check(M: SymMatrix) -> PsdVerdict:
-    """Exact PSD test.  NotPSD verdicts carry a rational witness vector."""
+    """Exact PSD test.  NotPSD verdicts carry a rational witness vector;
+    PSD verdicts their rank, and their factorization on request."""
     witness = _proposed_witness(M)
     if witness is not None:
         return PsdVerdict(is_psd=False, witness=witness)
-    L, diag, fail = _eliminate(M)
-    if fail is None:
-        fact = LdlFactorization(tuple(tuple(r) for r in L), tuple(diag))
-        return PsdVerdict(is_psd=True, factorization=fact,
-                          rank=sum(1 for d in diag if d))
-    step, kind, row = fail
+    A, scale, fail = _eliminate(M)
     n = M.dim
+    if fail is None:
+        return PsdVerdict(is_psd=True,
+                          rank=sum(1 for j in range(n) if A[j][j]),
+                          _pivots=(tuple(map(tuple, A)), tuple(scale)))
+    L, _ = _factors(A, scale, fail)
+    step, kind, row = fail
 
     def pullback(w):
         v = [Fraction(0)] * n

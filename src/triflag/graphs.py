@@ -273,15 +273,14 @@ def _model_keys(l: int, k: int) -> tuple:
     if l <= 1:
         return (b"",)
     prev = _model_keys(l - 1, k)
-    m = l * (l - 1) // 2
     base = np.frombuffer(b"".join(prev), dtype=np.uint8).reshape(len(prev), -1)
     vectors = np.array(list(product(range(1, k + 1), repeat=l - 1)),
                        dtype=np.uint8).reshape(-1, l - 1)
     # every old model with every colouring of a new vertex 0's edges, which
-    # come first in the row-major listing
+    # come first in the row-major listing; distinct keys times distinct
+    # vectors, so the candidates are distinct
     cands = np.hstack((np.tile(vectors, (len(prev), 1)),
                        np.repeat(base, len(vectors), axis=0)))
-    cands = np.unique(cands.view("S%d" % m)).view(np.uint8).reshape(-1, m)
     return tuple(sorted(set(canonical_keys_batch(cands, l))))
 
 

@@ -90,15 +90,16 @@ def export_sdp(table: CoefficientTable, path) -> None:
     mono = model_data().mono
     lines.append(" ".join(_decimal_str(Fraction(mono[key], 10) - TARGET_BOUND)
                           for key in table.model_keys))
-    for k, key in enumerate(table.model_keys, start=1):
-        for r in range(10):
-            cells = table.counts[r][key]
-            for (i, j) in sorted(cells):
-                if i > j:
-                    continue
-                val = Fraction(cells[i, j], 120)
-                lines.append("%d %d %d %d %s"
-                             % (k, r + 1, i + 1, j + 1, _decimal_str(val)))
+    blocks = [(c.start.tolist(), c.pair.tolist(), c.count.tolist())
+              for c in table.counts]
+    for k in range(1, NUM_MODELS + 1):
+        for r, (start, pair, count) in enumerate(blocks, start=1):
+            for t in range(start[k - 1], start[k]):
+                i, j = divmod(pair[t], NUM_FLAGS)
+                if i <= j:
+                    lines.append("%d %d %d %d %s" % (
+                        k, r, i + 1, j + 1,
+                        _decimal_str(Fraction(count[t], 120))))
         lines.append("%d %d %d %d 1" % (k, NUM_BLOCKS, k, k))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

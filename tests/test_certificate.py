@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,8 +10,9 @@ import pytest
 from triflag import certificate as cert_mod
 from triflag.certificate import (Certificate, CertificateBlock,
                                  CertificateError, coefficient_table,
-                                 lambda_vector, load_certificate,
-                                 report_text, serialize_certificate, verify)
+                                 extremal_zero_report, lambda_vector,
+                                 load_certificate, report_text,
+                                 serialize_certificate, verify)
 from triflag.exact import SymMatrix
 from triflag.flags import avg_coefficient, flag_from_vector
 from triflag.graphs import (ColouredGraph, bad_family, canonical_key,
@@ -289,6 +291,113 @@ def test_lambda_vector_matches_fraction_sums(shipped_cert, shipped_table):
         lams = lambda_vector(cert, shipped_table)
         assert list(lams) == list(shipped_table.model_keys)
         assert lams == fraction_lambdas(cert, shipped_table)
+
+
+def common_denominator(cert):
+    return math.lcm(cert.bound.denominator,
+                    *(x.denominator for block in cert.blocks
+                      for row in block.Q.rows for x in row))
+
+
+def dict_loop_lambdas(cert, table):
+    """Oracle: lambda_k as integer numerators over one common denominator,
+    summed model by model over the table's {(i, j): count} mappings."""
+    den = common_denominator(cert)
+    bound = cert.bound.numerator * (den // cert.bound.denominator) * 120
+    scaled_q = [[[x.numerator * (den // x.denominator) for x in row]
+                 for row in block.Q.rows] for block in cert.blocks]
+    out = {}
+    for key in table.model_keys:
+        mono = mono_triangles(ColouredGraph(5, 3, tuple(key)))["total"]
+        num = 12 * den * mono - bound
+        for q, counts in zip(scaled_q, table.counts):
+            num -= sum(q[i][j] * c for (i, j), c in counts[key].items())
+        out[key] = Fraction(num, 120 * den)
+    return out
+
+
+def scaled_top(cert):
+    """120 * max|scaled q|, the bound `lambda_vector` checks against 2**63."""
+    den = common_denominator(cert)
+    return 120 * max(abs(x.numerator) * (den // x.denominator)
+                     for block in cert.blocks for row in block.Q.rows
+                     for x in row)
+
+
+def with_q(cert, entry, bound=None):
+    """`cert` with Q^r[i][j] = entry(r, i, j), symmetric in i and j."""
+    return Certificate(cert.bound if bound is None else bound, tuple(
+        replace(b, Q=SymMatrix([[entry(r, i, j) for j in range(27)]
+                                for i in range(27)]))
+        for r, b in enumerate(cert.blocks)))
+
+
+def int64_edge(cert, top):
+    # integer entries of both signs up to `top` over an integer bound, so
+    # the scaled Q is Q itself; the all-red model's counts add up to 120
+    return with_q(cert, lambda r, i, j: (-1) ** r * (top - (i + j) % 3),
+                  bound=Fraction(0))
+
+
+def thirty_digit_denominators(cert):
+    rng = random.Random(30)
+    dens = [rng.randrange(10**29, 10**30) for _ in range(3)]
+    q = {}
+    for r in range(10):
+        for i in range(27):
+            for j in range(i + 1):
+                q[r, i, j] = Fraction(rng.randrange(-10**30, 10**30),
+                                      rng.choice(dens))
+    return with_q(cert, lambda r, i, j: q[r, max(i, j), min(i, j)])
+
+
+LAST_INT64_TOP = (2**63 - 1) // 120
+
+
+@pytest.mark.parametrize("case", [
+    "shipped", "flag-permuted", "int64-below", "int64-above", "30-digit"])
+def test_lambda_vector_matches_dict_loop_oracle(shipped_cert, shipped_table,
+                                                case):
+    cert, table = shipped_cert, shipped_table
+    if case == "flag-permuted":
+        cert, _ = relabelled(shipped_cert, random.Random(5))
+        table = coefficient_table(cert)
+    elif case == "int64-below":
+        cert = int64_edge(shipped_cert, LAST_INT64_TOP)
+        assert 2**63 - 120 <= scaled_top(cert) < 2**63
+    elif case == "int64-above":
+        cert = int64_edge(shipped_cert, LAST_INT64_TOP + 1)
+        assert 2**63 <= scaled_top(cert) < 2**63 + 120
+    elif case == "30-digit":
+        cert = thirty_digit_denominators(shipped_cert)
+    lams = lambda_vector(cert, table)
+    assert list(lams) == list(table.model_keys)
+    assert all(type(lam) is Fraction for lam in lams.values())
+    assert lams == dict_loop_lambdas(cert, table)
+
+
+def shuffled_vectors(cert, rng):
+    """`cert` with each block's flag vectors listed in a random order and
+    Q left as it is: another certificate, which fails."""
+    blocks = []
+    for b in cert.blocks:
+        order = rng.sample(range(27), 27)
+        blocks.append(replace(b, vectors=tuple(b.vectors[k] for k in order),
+                              flags=tuple(b.flags[k] for k in order)))
+    return Certificate(cert.bound, tuple(blocks))
+
+
+def test_a_table_of_another_layout_is_refused(shipped_cert, shipped_table):
+    # the shipped table read against shuffled vectors gives a false
+    # VERIFIED, against a valid flag-permuted copy a false FAILED
+    shuffled = shuffled_vectors(shipped_cert, random.Random(6))
+    assert not verify(shuffled).verified
+    moved, _ = relabelled(shipped_cert, random.Random(7))
+    assert verify(moved).verified
+    for cert in (shuffled, moved):
+        for check in (lambda_vector, verify, extremal_zero_report):
+            with pytest.raises(ValueError, match="block 1: .*another"):
+                check(cert, shipped_table)
 
 
 def test_bad_family_containment_matches_per_subset_oracle():

@@ -299,3 +299,28 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+    assert capsys.readouterr().out == "triflag %s\n" % triflag.__version__
+
+
+def test_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as fh:
+        assert triflag.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+def test_verify_process_imports_no_unused_modules():
+    # numpy.ma came in through np.unique, importlib.metadata through the
+    # version stamp; neither is used by verification
+    proc = run_python("-c", "\n".join([
+        "import sys",
+        "before = 'importlib.metadata' in sys.modules",
+        "import triflag.cli",
+        "code = triflag.cli.main(['verify'])",
+        "print(code, before, 'importlib.metadata' in sys.modules,",
+        "      'numpy.ma' in sys.modules)"]))
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "triflag %s" % triflag.__version__
+    code, before, after, ma = lines[-1].split()
+    assert code == "0"
+    assert ma == "False"
+    assert after == "False" or before == "True"

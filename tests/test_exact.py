@@ -16,7 +16,7 @@ F = Fraction
 
 def fraction_eliminate(M: SymMatrix):
     """Oracle: pivot-free symmetric elimination done in Fractions, with the
-    (L, diag, fail) result of `exact._eliminate`."""
+    (L, diag, fail) that `exact._factors` reads from `exact._eliminate`."""
     n = M.dim
     A = [list(row) for row in M.rows]
     L = [[F(int(i == j)) for j in range(n)] for i in range(n)]
@@ -252,7 +252,9 @@ def test_quadratic_form_matches_fraction_oracle(case):
 def test_integer_elimination_matches_fraction_oracle(rows):
     m = SymMatrix(rows)
     L, diag, fail = fraction_eliminate(m)
-    assert exact._eliminate(m) == (L, diag, fail)
+    A, scale, int_fail = exact._eliminate(m)
+    assert int_fail == fail
+    assert exact._factors(A, scale, fail) == (L, diag)
     verdict = psd_check(m)
     assert verdict.is_psd == (fail is None)
     if fail is None:
@@ -263,6 +265,25 @@ def test_integer_elimination_matches_fraction_oracle(rows):
     else:
         assert verdict.rank is None
         assert m.quadratic_form(verdict.witness) < 0
+
+
+def test_factors_are_built_only_on_request(shipped_cert):
+    from triflag.certificate import verify
+    with mock.patch.object(exact, "LdlFactorization",
+                           wraps=exact.LdlFactorization) as built:
+        assert verify(shipped_cert).verified
+        assert built.call_count == 0
+        m = shipped_cert.blocks[1].Q
+        verdict = psd_check(m)
+        assert built.call_count == 0
+        fact = verdict.factorization
+        assert verdict.factorization is fact
+        assert built.call_count == 1
+    L, diag, fail = fraction_eliminate(m)
+    assert fail is None
+    assert fact.lower == tuple(map(tuple, L))
+    assert fact.diag == tuple(diag)
+    assert fact.reconstruct() == m
 
 
 @settings(max_examples=300, deadline=None)
