@@ -24,7 +24,7 @@ print(report_text(report))
 
 # the bound is tight: the models induced in the 25-vertex extremal
 # construction all sit exactly on the boundary
-rows = extremal_zero_report(cert, table)
+rows = extremal_zero_report(report.lambdas)
 occurring = [key for key, lam, occ in rows if occ]
 assert all(lam == 0 for key, lam, occ in rows if occ)
 print("%d models occur in the construction, all with lambda = 0"

@@ -22,7 +22,7 @@ table = coefficient_table(cert)
 
 work = Path(tempfile.mkdtemp())
 problem = work / "problem.dat-s"
-export_sdp(table, problem)
+export_sdp(problem)                     # in the shipped certificate's layout
 print(parse_sdp(problem).block_sizes)   # ten 27-blocks plus the slack
 
 # pretend a solver ran: write its solution file from the known answer

@@ -34,8 +34,8 @@ from .certificate import (Certificate, CertificateBlock, CertificateError,
                           extremal_zero_report)
 from .extremal import (ClassPartition, MembershipWitness, pentagon_base,
                        build_gex, class_sizes, is_member_gn, brute_min_mono)
-from .sdp import (SdpProblem, SolverSolution, SdpFormatError, export_sdp,
-                  parse_sdp, parse_solution, round_solution)
+from .sdp import (SdpProblem, SdpFormatError, export_sdp, parse_sdp,
+                  parse_solution, round_solution)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -261,6 +261,7 @@ def shipped_certificate_text() -> str:
     return resources.files("triflag.data").joinpath("certificate.txt").read_text()
 
 
+@cache          # parsed once per process; a Certificate is immutable
 def load_shipped_certificate() -> Certificate:
     return load_certificate(shipped_certificate_text())
 
@@ -413,19 +414,13 @@ def report_text(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def extremal_zero_report(cert: Certificate,
-                         table: CoefficientTable | None = None,
-                         lambdas: dict | None = None) -> list:
+def extremal_zero_report(lambdas: dict) -> list:
     """For each 5-vertex model, in key order: (key, lambda, occurs), where
-    occurs tells whether the model is an induced 5-subset of the 25-vertex
-    extremal construction.  A certificate whose bound is tight has lambda
-    exactly 0 on every model that occurs; the rows report this, they do not
-    enforce it.  A `table` built for another flag layout raises
-    ValueError."""
+    `lambdas` is a certificate's `lambda_vector` (or a report's `lambdas`)
+    and occurs tells whether the model is an induced 5-subset of the
+    25-vertex extremal construction.  A certificate whose bound is tight
+    has lambda exactly 0 on every model that occurs; the rows report this,
+    they do not enforce it."""
     from .extremal import build_gex
-    if lambdas is None:
-        if table is None:
-            table = coefficient_table(cert)
-        lambdas = lambda_vector(cert, table)
     occurring = set(subgraph_class_counts(build_gex(25), 5))
     return [(key, lambdas[key], key in occurring) for key in sorted(lambdas)]

@@ -49,13 +49,6 @@ def _load_graph(path):
         return parse_graph(fh.read())
 
 
-def _load_certificate(path):
-    if not path:
-        return cert_mod.load_shipped_certificate()
-    with open(path) as fh:
-        return cert_mod.load_certificate(fh.read())
-
-
 def cmd_enumerate(args) -> int:
     models = enumerate_models(args.n, args.k)
     expected = count_models_polya(args.n, args.k)
@@ -73,13 +66,17 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cert = _load_certificate(args.cert)
-    report = cert_mod.verify(cert)
-    lines = _stamp([args.cert] if args.cert else [])
-    if not args.cert:
+    if args.cert:
+        with open(args.cert) as fh:
+            cert = cert_mod.load_certificate(fh.read())
+        lines = _stamp([args.cert])
+    else:
+        cert = cert_mod.load_shipped_certificate()
+        lines = _stamp()
         lines.append("input sha256=%s path=<shipped>"
                      % hashlib.sha256(
                          cert_mod.shipped_certificate_text().encode()).hexdigest())
+    report = cert_mod.verify(cert)
     lines.append(cert_mod.report_text(report).rstrip("\n"))
     _emit(lines, args.out)
     return 0 if report.verified else 1
@@ -151,8 +148,7 @@ def cmd_goodman(args) -> int:
 
 
 def cmd_sdp_export(args) -> int:
-    table = cert_mod.coefficient_table(_load_certificate(args.cert))
-    sdp_mod.export_sdp(table, args.out)
+    sdp_mod.export_sdp(args.out)
     print("wrote %s (m=%d blocks=%d)"
           % (args.out, sdp_mod.NUM_MODELS, sdp_mod.NUM_BLOCKS))
     return 0
@@ -160,8 +156,7 @@ def cmd_sdp_export(args) -> int:
 
 def cmd_sdp_round(args) -> int:
     solution = sdp_mod.parse_solution(args.solution)
-    cert = sdp_mod.round_solution(solution, max_den=args.max_den,
-                                  template=_load_certificate(args.cert))
+    cert = sdp_mod.round_solution(solution, max_den=args.max_den)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(cert_mod.serialize_certificate(cert))
@@ -221,14 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sdp-export", help="write the sparse SDP problem")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--cert", help="certificate giving the block layout")
     sp.set_defaults(func=cmd_sdp_export)
 
     sp = sub.add_parser("sdp-round",
                         help="round a solver solution and verify it")
     sp.add_argument("solution", help="solver solution file")
     sp.add_argument("--max-den", type=int, default=DEFAULT_MAX_DEN)
-    sp.add_argument("--cert", help="template certificate for the layout")
     sp.add_argument("--out", help="write the rounded certificate here")
     sp.set_defaults(func=cmd_sdp_round)
     return p

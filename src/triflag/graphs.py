@@ -44,6 +44,13 @@ class SizeLimitError(ValueError):
     """Input exceeds the size supported by an exhaustive operation."""
 
 
+def _check_colour_count(k: int):
+    # colours are stored one byte each, in listings and canonical keys
+    if not 1 <= k <= 255:
+        raise (SizeLimitError if k > 255 else ValueError)(
+            "colour count must be 1 <= k <= 255, got %d" % k)
+
+
 class ColouredGraph:
     """Complete graph with an edge colouring over {1..k}.
 
@@ -54,6 +61,7 @@ class ColouredGraph:
     __slots__ = ("n", "k", "entries")
 
     def __init__(self, n: int, k: int = 3, entries=()):
+        _check_colour_count(k)
         m = n * (n - 1) // 2
         entries = tuple(int(c) for c in entries)
         if len(entries) != m:
@@ -252,11 +260,10 @@ def is_isomorphic(G: ColouredGraph, H: ColouredGraph) -> bool:
 
 
 def _check_enumeration_limit(l: int, k: int):
-    # colours are stored one byte each; enumerating K_l extends every
-    # (l-1)-vertex model by all k^(l-1) colourings of the new vertex's
-    # edges, a batch that grows with k as fast as with l
-    if k > 255:
-        raise SizeLimitError("enumeration limited to k <= 255")
+    # enumerating K_l extends every (l-1)-vertex model by all k^(l-1)
+    # colourings of the new vertex's edges, a batch that grows with k as
+    # fast as with l
+    _check_colour_count(k)
     if l > CANON_MAX_N:
         raise SizeLimitError("enumeration limited to l <= %d" % CANON_MAX_N)
     if l >= 2:

@@ -9,10 +9,11 @@ target bound of 1/25.  The file encodes the feasibility problem
     X = diag(Q^1, ..., Q^10, lambda) PSD,
 
 with F_k = diag(A[1][k], ..., A[10][k], E_kk), so a solver's matrix
-solution reads off the ten blocks plus the slack vector directly.  No
-solver is embedded; solutions come back through a text file, are rounded
-entrywise to bounded-denominator rationals, and re-enter the ordinary
-certificate verification path with no shortcut.
+solution reads off the ten blocks plus the slack vector directly, in
+the shipped certificate's types and flag orders.  No solver is embedded;
+solutions come back through a text file, are rounded entrywise to
+bounded-denominator rationals in that same layout, and re-enter the
+ordinary certificate verification path with no shortcut.
 
 Coefficients are emitted as decimal expansions of the exact rationals to
 40 significant digits.  Model order is the canonical enumeration order,
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificate import (NUM_FLAGS, Certificate, CertificateBlock,
-                          CoefficientTable, load_shipped_certificate,
+                          coefficient_table, load_shipped_certificate,
                           model_data)
 from .exact import (DEFAULT_MAX_DEN, SymMatrix, _parse_integer,
                     rational_reconstruct)
@@ -61,28 +62,20 @@ class SdpProblem:
     entries: dict              # (matno, blkno, i, j) -> Fraction
 
 
-@dataclass
-class SolverSolution:
-    blocks: list               # ten 27x27 float matrices, symmetrized
-    slack: list                # 792 floats
-    y: list
-
-
 def _decimal_str(x: Fraction) -> str:
     ctx = decimal.Context(prec=SIG_DIGITS)
     d = ctx.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
     return format(d, "f")
 
 
-def export_sdp(table: CoefficientTable, path) -> None:
-    """Write the sparse problem file for the fixed-bound feasibility SDP.
+def export_sdp(path) -> None:
+    """Write the sparse problem file for the fixed-bound feasibility SDP,
+    in the shipped certificate's layout, the one `round_solution` reads.
 
-    Deterministic: models in table order, blocks 1..10, upper-triangle
-    entries in index order, slack entries last.
+    Deterministic: models in canonical enumeration order, blocks 1..10,
+    upper-triangle entries in index order, slack entries last.
     """
-    if len(table.model_keys) != NUM_MODELS:
-        raise ValueError("coefficient table must cover all %d models"
-                         % NUM_MODELS)
+    table = coefficient_table(load_shipped_certificate())
     lines = ['"feasibility SDP: ten 27-blocks plus diagonal slack, bound 1/25']
     lines.append(str(NUM_MODELS))
     lines.append(str(NUM_BLOCKS))
@@ -160,13 +153,14 @@ def parse_sdp(path) -> SdpProblem:
     return SdpProblem(m, sizes, rhs, entries)
 
 
-def parse_solution(path) -> SolverSolution:
-    """Parse a solver solution file.
+def parse_solution(path) -> list:
+    """Parse a solver solution file into ten symmetric 27x27 float blocks.
 
     Expected layout: one line with the m dual values, then entry lines
     "matno blkno i j value" where matno 2 carries the matrix solution
-    (matno 1, the slack matrix, is ignored).  A repeated entry keeps its
-    last value.  An off-diagonal entry given in both triangles takes the
+    (matno 1, the slack matrix, is ignored); the dual values and the
+    slack block are checked, not kept.  A repeated entry keeps its last
+    value.  An off-diagonal entry given in both triangles takes the float
     average of the two, one given in a single triangle is mirrored.
     """
     with open(path) as fh:
@@ -182,7 +176,6 @@ def parse_solution(path) -> SolverSolution:
         raise SdpFormatError("line %d: dual vector has %d entries, expected %d"
                              % (ln, len(y), NUM_MODELS))
     cells: dict = {}
-    slack = [0.0] * NUM_MODELS
     seen_matrix = False
     for ln, text in lines[1:]:
         toks = text.split()
@@ -205,14 +198,12 @@ def parse_solution(path) -> SolverSolution:
                 raise SdpFormatError("line %d: index out of range for a %dx%d "
                                      "block" % (ln, NUM_FLAGS, NUM_FLAGS))
             cells[blkno - 1, i - 1, j - 1] = val
-        elif blkno == NUM_BLOCKS:
-            if i != j or not 1 <= i <= NUM_MODELS:
-                raise SdpFormatError("line %d: slack block is diagonal of "
-                                     "size %d" % (ln, NUM_MODELS))
-            slack[i - 1] = val
-        else:
+        elif blkno != NUM_BLOCKS:
             raise SdpFormatError("line %d: block number %d out of range"
                                  % (ln, blkno))
+        elif i != j or not 1 <= i <= NUM_MODELS:
+            raise SdpFormatError("line %d: slack block is diagonal of "
+                                 "size %d" % (ln, NUM_MODELS))
     if not seen_matrix:
         raise SdpFormatError("no matrix entries (matno 2) in solution file")
     blocks = [[[0.0] * NUM_FLAGS for _ in range(NUM_FLAGS)]
@@ -221,43 +212,36 @@ def parse_solution(path) -> SolverSolution:
         if i != j and (b, j, i) in cells:
             val = (val + cells[b, j, i]) / 2.0    # the same from either side
         blocks[b][i][j] = blocks[b][j][i] = val
-    return SolverSolution(blocks=blocks, slack=slack, y=y)
+    return blocks
 
 
-def round_solution(blocks, max_den: int = DEFAULT_MAX_DEN,
-                   template: Certificate | None = None) -> Certificate:
-    """Round ten numeric blocks to a rational certificate at bound 1/25.
+def round_solution(blocks, max_den: int = DEFAULT_MAX_DEN) -> Certificate:
+    """Round ten numeric 27x27 blocks to a rational certificate at bound 1/25.
 
-    `blocks` is a SolverSolution or a list of ten 27x27 numeric matrices.
-    Entries are symmetrized, then each is replaced by its best rational
-    approximation with denominator <= max_den.  The type and flag layout is
-    taken from `template` (default: the shipped certificate).  The result
-    is only structurally valid; it earns a verdict through the ordinary
-    verification path.
+    Each entry on or above the diagonal is replaced by its best rational
+    approximation with denominator <= max_den (`rational_reconstruct`)
+    and mirrored below it; the lower triangle is not read.  Types, vectors
+    and flags are the shipped certificate's, the layout `export_sdp`
+    writes.  The result is only structurally valid; it earns a verdict
+    through the ordinary verification path.
     """
-    if isinstance(blocks, SolverSolution):
-        blocks = blocks.blocks
     if len(blocks) != 10:
         raise ValueError("expected ten blocks")
-    if template is None:
-        template = load_shipped_certificate()
     out = []
-    for b, (tb, numeric) in enumerate(zip(template.blocks, blocks), 1):
+    shipped = load_shipped_certificate().blocks
+    for b, (tb, numeric) in enumerate(zip(shipped, blocks), 1):
         if len(numeric) != NUM_FLAGS or any(len(r) != NUM_FLAGS
                                             for r in numeric):
             raise ValueError("blocks must be %dx%d" % (NUM_FLAGS, NUM_FLAGS))
-        rows = [[Fraction(0)] * NUM_FLAGS for _ in range(NUM_FLAGS)]
+        rows = [[None] * NUM_FLAGS for _ in range(NUM_FLAGS)]
         try:
             for i in range(NUM_FLAGS):
-                rows[i][i] = rational_reconstruct(numeric[i][i], max_den)
-                for j in range(i + 1, NUM_FLAGS):
-                    avg = (Fraction(numeric[i][j])
-                           + Fraction(numeric[j][i])) / 2
-                    val = rational_reconstruct(avg, max_den)
-                    rows[i][j] = rows[j][i] = val
+                for j in range(i, NUM_FLAGS):
+                    rows[i][j] = rows[j][i] = rational_reconstruct(
+                        numeric[i][j], max_den)
         except (OverflowError, ValueError) as exc:
-            # Fraction() of an infinity raises OverflowError, of a nan
-            # ValueError
+            # Fraction() of an infinite Decimal raises OverflowError, of
+            # "inf" or "nan" (a float's repr) ValueError
             raise ValueError("block %d: %s" % (b, exc)) from exc
         out.append(CertificateBlock(tb.type_sigma, tb.vectors, tb.flags,
                                     SymMatrix(rows)))

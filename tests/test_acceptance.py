@@ -81,9 +81,8 @@ def test_criterion_04_full_verification(shipped_report):
            "condition holds, exit code 0, in %.2fs" % elapsed)
 
 
-def test_criterion_05_extremal_zeroes(shipped_cert, shipped_report):
-    rows = cert_mod.extremal_zero_report(shipped_cert,
-                                         lambdas=shipped_report.lambdas)
+def test_criterion_05_extremal_zeroes(shipped_report):
+    rows = cert_mod.extremal_zero_report(shipped_report.lambdas)
     occurring = [key for key, lam, occ in rows if occ]
     assert occurring
     assert all(lam == 0 for key, lam, occ in rows if occ)
@@ -213,7 +212,7 @@ def test_criterion_09_mutation_sensitivity(shipped_cert, shipped_table,
 def test_criterion_10_sdp_round_trip(shipped_cert, shipped_table,
                                      tmp_path):
     prob_path = tmp_path / "problem.dat-s"
-    sdp_mod.export_sdp(shipped_table, prob_path)
+    sdp_mod.export_sdp(prob_path)
     prob = sdp_mod.parse_sdp(prob_path)
     tol = Fraction(1, 10**38)
     for k, key in enumerate(shipped_table.model_keys, start=1):

@@ -9,7 +9,7 @@ PUBLIC_NAMES = [
     "CoefficientTable", "ColouredGraph", "DEFAULT_MAX_DEN", "Flag",
     "InexactDivisionError", "LdlFactorization", "MembershipWitness",
     "PsdVerdict", "SdpFormatError", "SdpProblem", "SizeLimitError",
-    "SolverSolution", "SymMatrix", "TypeSigma", "VerificationReport",
+    "SymMatrix", "TypeSigma", "VerificationReport",
     "WitnessError", "avg_coefficient", "bad_family", "brute_min_mono",
     "build_gex", "canonical_form", "canonical_key", "certificate",
     "class_sizes", "coefficient_table", "corollary_value",

@@ -176,6 +176,16 @@ def test_extremal_has_no_colour_count_option(capsys):
     assert "unrecognized arguments: --k 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["sdp-export", "--out", "p.dat-s"],
+                                  ["sdp-round", "solution.txt"]])
+def test_sdp_commands_have_no_layout_option(capsys, argv):
+    # the bridge has one layout, the shipped certificate's
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cert", "my.cert"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cert my.cert" in capsys.readouterr().err
+
+
 def test_sdp_round_default_max_den_is_the_library_default():
     args = build_parser().parse_args(["sdp-round", "solution.txt"])
     assert args.max_den == DEFAULT_MAX_DEN == 4 * 10**6
@@ -213,6 +223,25 @@ def test_enumerate_size_limit(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "2", "--k", "256")
     assert code == 2
     assert "k <= 255" in err
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_enumerate_refuses_a_colour_count_below_one(capsys, k):
+    code, _, err = run(capsys, "enumerate", "--n", "5", "--k", k)
+    assert code == 2
+    assert "error: colour count must be 1 <= k <= 255, got %s" % k in err
+
+
+@pytest.mark.parametrize("k", ["256", "4000000", "1000000000", "0"])
+def test_count_refuses_a_graph_file_with_a_colour_count_out_of_range(
+        tmp_path, capsys, k):
+    # memory and output grow with k, so a huge k must fail up front
+    path = tmp_path / "g.txt"
+    path.write_text("3 %s\n0 1 1\n1 0 1\n1 1 0\n" % k)
+    code, stdout, err = run(capsys, "count", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert "error: colour count must be 1 <= k <= 255, got %s" % k in err
 
 
 def test_check_gn_rejects_non_member(tmp_path, capsys):

@@ -315,7 +315,7 @@ def test_coarse_rounded_blocks_fail_without_elimination(shipped_cert,
     # witness; the three blocks that stay PSD must still be eliminated
     floats = [[[float(x) for x in row] for row in b.Q.rows]
               for b in shipped_cert.blocks]
-    coarse = round_solution(floats, max_den=1000, template=shipped_cert)
+    coarse = round_solution(floats, max_den=1000)
     monkeypatch.setattr(exact, "_eliminate", _refuse_elimination)
     failed = []
     for r, block in enumerate(coarse.blocks, start=1):

@@ -250,6 +250,16 @@ def test_enumeration_matches_polya_for_two_colours():
         assert len(enumerate_models(l, 2)) == count_models_polya(l, 2)
 
 
+def test_colour_count_is_one_byte():
+    # the empty and one-vertex graphs have no edge colour to refuse
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="1 <= k <= 255, got 0"):
+            ColouredGraph(n, 0)
+    with pytest.raises(SizeLimitError, match="1 <= k <= 255, got 256"):
+        ColouredGraph(1, 256)
+    assert ColouredGraph(2, 255, (255,)).k == 255
+
+
 def test_enumeration_size_limits():
     with pytest.raises(SizeLimitError):
         enumerate_models(7, 3)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from triflag.certificate import verify
+from triflag import certificate as cert_mod
+from triflag.certificate import load_certificate, verify
 from triflag.exact import SymMatrix
 from triflag.graphs import ColouredGraph, mono_triangles
 from triflag.sdp import (NUM_BLOCKS, NUM_MODELS, SdpFormatError, export_sdp,
@@ -12,9 +13,9 @@ from triflag.sdp import (NUM_BLOCKS, NUM_MODELS, SdpFormatError, export_sdp,
 
 
 @pytest.fixture(scope="module")
-def problem_file(shipped_table, tmp_path_factory):
+def problem_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("sdp") / "problem.dat-s"
-    export_sdp(shipped_table, path)
+    export_sdp(path)
     return path
 
 
@@ -46,11 +47,11 @@ def test_export_round_trip_is_exact_at_emitted_precision(problem_file,
         assert abs(prob.entries[k, blk, i, j] - exact) <= tol
 
 
-def test_export_is_deterministic(shipped_table, tmp_path):
+def test_export_is_deterministic(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
-    export_sdp(shipped_table, a)
-    export_sdp(shipped_table, b)
+    export_sdp(a)
+    export_sdp(b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -67,26 +68,26 @@ def test_parse_solution_identity_blocks(tmp_path):
     for b in range(10):
         for i in range(27):
             for j in range(27):
-                assert sol.blocks[b][i][j] == (1.0 if i == j else 0.0)
+                assert sol[b][i][j] == (1.0 if i == j else 0.0)
 
 
 def test_parse_solution_symmetrizes(tmp_path):
     path = tmp_path / "sol"
     _write_solution(path, ["2 1 1 2 0.4", "2 1 2 1 0.6"])
     sol = parse_solution(path)
-    assert sol.blocks[0][0][1] == sol.blocks[0][1][0] == 0.5
+    assert sol[0][0][1] == sol[0][1][0] == 0.5
     # a lower-triangle entry alone is mirrored into the upper triangle
     _write_solution(path, ["2 3 5 2 0.25", "2 3 4 4 -1.5"])
     sol = parse_solution(path)
-    assert sol.blocks[2][4][1] == sol.blocks[2][1][4] == 0.25
-    assert sol.blocks[2][3][3] == -1.5
-    assert sum(x != 0 for row in sol.blocks[2] for x in row) == 3
+    assert sol[2][4][1] == sol[2][1][4] == 0.25
+    assert sol[2][3][3] == -1.5
+    assert sum(x != 0 for row in sol[2] for x in row) == 3
     # a repeated line keeps its last value, before the averaging
     _write_solution(path, ["2 1 1 2 9.0", "2 1 2 1 0.6", "2 1 1 2 0.4",
                            "2 1 3 3 7.0", "2 1 3 3 2.0"])
     sol = parse_solution(path)
-    assert sol.blocks[0][0][1] == sol.blocks[0][1][0] == 0.5
-    assert sol.blocks[0][2][2] == 2.0
+    assert sol[0][0][1] == sol[0][1][0] == 0.5
+    assert sol[0][2][2] == 2.0
 
 
 def test_parse_solution_errors(tmp_path):
@@ -114,6 +115,18 @@ def test_parse_solution_errors(tmp_path):
                         + "\n2 1 1 1 1.0\n")
         with pytest.raises(SdpFormatError, match="line 1: .*non-finite"):
             parse_solution(path)
+
+
+@pytest.mark.parametrize("entry", ["2 11 1 2 1.0", "2 11 793 793 1.0",
+                                   "2 11 0 0 1.0"])
+def test_parse_solution_checks_the_slack_block(tmp_path, entry):
+    # the slack values are not kept, but a slack entry off the diagonal
+    # or past model 792 is still a malformed file
+    path = tmp_path / "sol"
+    _write_solution(path, ["2 1 1 1 1.0", "2 11 792 792 0.5", entry])
+    with pytest.raises(SdpFormatError,
+                       match="line 4: slack block is diagonal of size 792"):
+        parse_solution(path)
 
 
 SMALL_PROBLEM = """"a small problem in the same format
@@ -227,6 +240,30 @@ def test_round_solution_recovers_exact_certificate(shipped_cert):
     blocks = _perturbed_blocks(shipped_cert, 1e-14)
     rec = round_solution(blocks, max_den=4 * 10**6)
     assert rec == shipped_cert
+
+
+def test_round_solution_reads_the_upper_triangle_only(shipped_cert):
+    symmetric = [[[float(x) for x in row] for row in blk.Q.rows]
+                 for blk in shipped_cert.blocks]
+    upper = [[[x if i <= j else float("nan") for j, x in enumerate(row)]
+              for i, row in enumerate(b)] for b in symmetric]
+    for max_den in (1000, 4 * 10**6):
+        assert (round_solution(upper, max_den=max_den)
+                == round_solution(symmetric, max_den=max_den))
+
+
+def test_round_solution_parses_the_shipped_certificate_once(monkeypatch):
+    calls = []
+
+    def spy(text):
+        calls.append(1)
+        return load_certificate(text)
+
+    monkeypatch.setattr(cert_mod, "load_certificate", spy)
+    cert_mod.load_shipped_certificate.cache_clear()
+    blocks = [np.eye(27)] * 10
+    assert round_solution(blocks) == round_solution(blocks)
+    assert len(calls) == 1
 
 
 def test_round_solution_with_exact_inputs(shipped_cert):
