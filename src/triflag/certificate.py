@@ -326,8 +326,9 @@ def coefficient_table(cert: Certificate) -> CoefficientTable:
 
 def lambda_vector(cert: Certificate, table: CoefficientTable) -> dict:
     """lambda_k for every model, exactly: integer numerators over one
-    common denominator, 120 times the lcm of the bound's and every Q
-    entry's denominator.
+    common denominator, 120 den with den the lcm of the bound's denominator
+    and the Q row scales; row i of a block's scaled Q is den / scale[i]
+    times row i of its integer form `Q.num`.
 
     One pass per block: the block's scaled Q, flattened, is gathered by
     the table's pair codes, multiplied by the counts and summed per model
@@ -343,12 +344,10 @@ def lambda_vector(cert: Certificate, table: CoefficientTable) -> dict:
             raise ValueError("block %d: the coefficient table was built for "
                              "another type or flag order" % r)
     den = math.lcm(cert.bound.denominator,
-                   *(x.denominator for block in cert.blocks
-                     for row in block.Q.rows for x in row))
+                   *(s for block in cert.blocks for s in block.Q.scale))
     bound = cert.bound.numerator * (den // cert.bound.denominator) * 120
-    scaled_q = [[x.numerator * (den // x.denominator)
-                 for row in block.Q.rows for x in row]
-                for block in cert.blocks]
+    scaled_q = [[x * (den // s) for s, row in zip(block.Q.scale, block.Q.num)
+                 for x in row] for block in cert.blocks]
     top = max(abs(x) for q in scaled_q for x in q)
     dtype = np.int64 if 120 * top < 2**63 else object
     sums = np.zeros(len(table.model_keys), dtype=dtype)
@@ -414,6 +413,12 @@ def report_text(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+@cache           # the construction does not depend on a certificate
+def _gex_model_keys() -> frozenset:
+    from .extremal import build_gex
+    return frozenset(subgraph_class_counts(build_gex(25), 5))
+
+
 def extremal_zero_report(lambdas: dict) -> list:
     """For each 5-vertex model, in key order: (key, lambda, occurs), where
     `lambdas` is a certificate's `lambda_vector` (or a report's `lambdas`)
@@ -421,6 +426,5 @@ def extremal_zero_report(lambdas: dict) -> list:
     25-vertex extremal construction.  A certificate whose bound is tight
     has lambda exactly 0 on every model that occurs; the rows report this,
     they do not enforce it."""
-    from .extremal import build_gex
-    occurring = set(subgraph_class_counts(build_gex(25), 5))
+    occurring = _gex_model_keys()
     return [(key, lambdas[key], key in occurring) for key in sorted(lambdas)]

@@ -2,14 +2,15 @@
 positive-semidefiniteness certificates and bounded-denominator rounding.
 
 Verdicts are exact, in integers and `fractions.Fraction`; no floating point
-value ever decides one.  The PSD test is a symmetric LDL^T elimination
-without pivoting: a symmetric matrix is PSD iff elimination runs to
-completion with every pivot >= 0, where a zero pivot is only legal when its
-entire remaining row is zero.  The elimination itself is fraction-free
-(Bareiss) on an integer matrix congruent to the input, so it keeps the
-inertia; the rational factors are read back from it.  When the test fails we
-return an explicit rational witness v with v^T M v < 0 that can be re-checked
-by direct evaluation.
+value ever decides one.  A `SymMatrix` converts its entries to integers
+once, when built, and every exact step reads that form.  The PSD test is a
+symmetric LDL^T elimination without pivoting: a symmetric matrix is PSD iff
+elimination runs to completion with every pivot >= 0, where a zero pivot is
+only legal when its entire remaining row is zero.  The elimination itself
+is fraction-free (Bareiss) on an integer matrix congruent to the input, so
+it keeps the inertia; the rational factors are read back from it.  When the
+test fails we return an explicit rational witness v with v^T M v < 0 that
+can be re-checked by direct evaluation.
 
 A float may only propose such a witness.  Before eliminating, `psd_check`
 asks a float64 eigensolver for a clearly negative eigenvalue; its
@@ -84,11 +85,13 @@ def format_rational(x: Fraction) -> str:
 
 
 class SymMatrix:
-    """Dense symmetric matrix of Fractions.  The constructor is the one
-    square-and-symmetric check, and names a mismatch by its 1-based entry
-    above the diagonal; entries that are Fractions already are kept."""
+    """Dense symmetric matrix of Fractions, an immutable value.  The
+    constructor is the one square-and-symmetric check (naming a mismatch
+    by its 1-based entry above the diagonal) and the one conversion to
+    integers: `scale[i]` is the lcm of row i's denominators and
+    `num[i][j] = scale[i] * rows[i][j]`."""
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("dim", "rows", "scale", "num")
 
     def __init__(self, rows: Sequence[Sequence]):
         n = len(rows)
@@ -104,8 +107,16 @@ class SymMatrix:
                 j = next(j for j in range(i) if data[i][j] != data[j][i])
                 raise ValueError("matrix is not symmetric at (%d, %d)"
                                  % (j + 1, i + 1))
-        self.dim = n
-        self.rows = data
+        scale = tuple(math.lcm(*(x.denominator for x in row)) for row in data)
+        num = tuple(tuple(x.numerator * (s // x.denominator) for x in row)
+                    for s, row in zip(scale, data))
+        for name, value in zip(self.__slots__, (n, data, scale, num)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("a SymMatrix is immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         return isinstance(other, SymMatrix) and self.rows == other.rows
@@ -118,9 +129,8 @@ class SymMatrix:
 
     def quadratic_form(self, v: Sequence) -> Fraction:
         """v^T M v, exactly, summed in integers: with w = s v an integer
-        vector and d_i the lcm of the row's denominators on the support of
-        w (rows are scaled as in `_eliminate`), the form is
-        sum_i w_i (sum_j d_i M_ij w_j) / (d_i s^2), one division per row."""
+        vector, the form is sum_i w_i (sum_j num_ij w_j) / (scale_i s^2)
+        over the support of w, one division per row."""
         v = [Fraction(x) for x in v]
         if len(v) != self.dim:
             raise ValueError("vector length mismatch")
@@ -129,11 +139,9 @@ class SymMatrix:
         support = [j for j in range(self.dim) if w[j]]
         total = Fraction(0)
         for i in support:
-            row = [self.rows[i][j] for j in support]
-            d = math.lcm(*(x.denominator for x in row))
-            total += Fraction(w[i] * sum(x.numerator * (d // x.denominator)
-                                         * w[j]
-                                         for x, j in zip(row, support)), d)
+            row = self.num[i]
+            total += Fraction(w[i] * sum(row[j] * w[j] for j in support),
+                              self.scale[i])
         return total / (s * s)
 
 
@@ -197,20 +205,19 @@ def _eliminate(M: SymMatrix):
     pivot, row is an index below the pivot with a nonzero residual entry.
 
     The elimination is Bareiss's, on the integer matrix A = S M S with
-    S = diag(s_i), s_i = scale[i] the lcm of the denominators in row i (one
-    lcm for the whole matrix can have hundreds of digits).  After the step
-    with pivot p, the rows below hold p times the Schur complement, so every
-    division by the previous nonzero pivot p' is exact.  A zero pivot with
-    a zero remaining row is skipped and leaves the matrix and p' alone.
-    Row j of the returned A, from column j on, is the pivot row of step j,
-    for every step up to the failed one.  The rational factors of M are
-    read from it by `_factors`: d_j = p / (p' s_j^2) and
-    L_ij = A_ji s_j / (p s_i).
+    S = diag(s_i), s_i = M.scale[i], built from M's integer form as
+    A_ij = M.num[i][j] s_j (one lcm for the whole matrix can have hundreds
+    of digits).  After the step with pivot p, the rows below hold p times
+    the Schur complement, so every division by the previous nonzero pivot
+    p' is exact.  A zero pivot with a zero remaining row is skipped and
+    leaves the matrix and p' alone.  Row j of the returned A, from column
+    j on, is the pivot row of step j, for every step up to the failed one.
+    The rational factors of M are read from it by `_factors`:
+    d_j = p / (p' s_j^2) and L_ij = A_ji s_j / (p s_i).
     """
     n = M.dim
-    scale = [math.lcm(*(x.denominator for x in row)) for row in M.rows]
-    A = [[x.numerator * (scale[i] // x.denominator) * scale[j]
-          for j, x in enumerate(row)] for i, row in enumerate(M.rows)]
+    scale = M.scale
+    A = [[x * s for x, s in zip(row, scale)] for row in M.num]
     prev = 1
     for j in range(n):
         Aj = A[j]
@@ -263,8 +270,7 @@ def _proposed_witness(M: SymMatrix) -> tuple | None:
     if n == 0:
         return None
     try:
-        A = np.array([[x.numerator / x.denominator for x in row]
-                      for row in M.rows])
+        A = np.array([[x / s for x in row] for s, row in zip(M.scale, M.num)])
         w = np.linalg.eigvalsh(A)
         # Only an eigenvalue below -n eps max|eigenvalue|, past the solver's
         # own backward error, proposes a witness: the shipped blocks, PSD
@@ -296,7 +302,7 @@ def psd_check(M: SymMatrix) -> PsdVerdict:
     if fail is None:
         return PsdVerdict(is_psd=True,
                           rank=sum(1 for j in range(n) if A[j][j]),
-                          _pivots=(tuple(map(tuple, A)), tuple(scale)))
+                          _pivots=(tuple(map(tuple, A)), scale))
     L, _ = _factors(A, scale, fail)
     step, kind, row = fail
 

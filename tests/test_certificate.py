@@ -4,6 +4,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -519,6 +520,16 @@ def test_extremal_zero_report(shipped_report):
             M = ColouredGraph(5, 3, tuple(key))
             per = mono_triangles(M)
             assert per[2] == 0 and per[3] == 0
+
+
+def test_extremal_zero_report_builds_the_construction_once(shipped_report):
+    cert_mod._gex_model_keys.cache_clear()
+    with mock.patch.object(cert_mod, "subgraph_class_counts",
+                           wraps=subgraph_class_counts) as counted:
+        first = cert_mod.extremal_zero_report(shipped_report.lambdas)
+        second = cert_mod.extremal_zero_report(shipped_report.lambdas)
+    assert counted.call_count == 1
+    assert first == second
 
 
 def test_extremal_zero_report_reports_a_slack_bound(shipped_cert,

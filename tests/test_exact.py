@@ -1,3 +1,5 @@
+import math
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -7,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triflag import exact, round_solution
+from triflag.certificate import (Certificate, lambda_vector,
+                                 load_shipped_certificate)
 from triflag.exact import (InexactDivisionError, SymMatrix, WitnessError,
                            format_rational, parse_rational,
                            psd_check, rational_reconstruct)
@@ -265,6 +269,57 @@ def test_integer_elimination_matches_fraction_oracle(rows):
     else:
         assert verdict.rank is None
         assert m.quadratic_form(verdict.witness) < 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_symmetric())
+def test_integer_form_is_the_rows_over_their_row_scales(rows):
+    m = SymMatrix(rows)
+    for i in range(m.dim):
+        assert m.scale[i] == math.lcm(*(x.denominator for x in m.rows[i]))
+        for j in range(m.dim):
+            assert type(m.num[i][j]) is int
+            assert F(m.num[i][j], m.scale[i]) == m.rows[i][j]
+
+
+@pytest.mark.parametrize("name", ["rows", "dim", "scale", "num"])
+def test_symmatrix_is_immutable(name):
+    for m in (SymMatrix([[1, F(1, 2)], [F(1, 2), 5]]),
+              load_shipped_certificate().blocks[0].Q):
+        before = getattr(m, name)
+        with pytest.raises(AttributeError):
+            setattr(m, name, before)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+        assert getattr(m, name) is before
+    with pytest.raises(AttributeError):
+        m.extra = 1
+
+
+def form_only(m: SymMatrix) -> SymMatrix:
+    """A copy of m without its Fraction rows: reading `rows` raises."""
+    bare = object.__new__(SymMatrix)
+    for name in ("dim", "scale", "num"):
+        object.__setattr__(bare, name, getattr(m, name))
+    return bare
+
+
+def test_exact_steps_read_only_the_integer_form(shipped_cert, shipped_table):
+    negated = SymMatrix([[-x for x in row]
+                         for row in shipped_cert.blocks[1].Q.rows])
+    v = [F(i - 13, i + 1) for i in range(27)]
+    for m in (*(b.Q for b in shipped_cert.blocks), negated):
+        bare = form_only(m)
+        with pytest.raises(AttributeError):
+            bare.rows
+        assert exact._eliminate(bare) == exact._eliminate(m)
+        assert exact._proposed_witness(bare) == exact._proposed_witness(m)
+        assert bare.quadratic_form(v) == fraction_quadratic_form(m, v)
+    assert exact._proposed_witness(negated) is not None
+    bare_cert = Certificate(shipped_cert.bound, tuple(
+        replace(b, Q=form_only(b.Q)) for b in shipped_cert.blocks))
+    assert (lambda_vector(bare_cert, shipped_table)
+            == lambda_vector(shipped_cert, shipped_table))
 
 
 def test_factors_are_built_only_on_request(shipped_cert):
