@@ -155,7 +155,8 @@ def _integers(line: str, ln: int) -> list:
 def load_certificate(text: str) -> Certificate:
     """Parse a certificate in the line-oriented FLAGCERT format.  Token errors
     name their line; the types' own structural errors name the block.  Each
-    distinct Q token is parsed once."""
+    distinct Q token is parsed once, and the blocks are built only once the
+    whole file has been read."""
     lines = text.splitlines()
     pos = 0
     rationals = {}              # Q token -> its Fraction
@@ -186,7 +187,7 @@ def load_certificate(text: str) -> Certificate:
     except (ValueError, IndexError) as exc:
         raise CertificateError("line %d: bad bound: %s" % (ln, exc)) from exc
 
-    blocks = []
+    parsed = []                 # per block: type rows, vectors, Q rows
     for r in range(1, 11):
         tag, ln = next_line()
         if tag != "TYPE %d" % r:
@@ -224,7 +225,15 @@ def load_certificate(text: str) -> Certificate:
             try:
                 qrows.append([rational(t) for t in toks])
             except ValueError as exc:
-                raise CertificateError("line %d: bad rational: %s" % (ln, exc))
+                raise CertificateError("line %d: bad rational: %s"
+                                       % (ln, exc)) from exc
+        parsed.append((rows, vectors, qrows))
+    for extra in range(pos, len(lines)):
+        if lines[extra].strip():
+            raise CertificateError(
+                "line %d: unexpected text after block 10" % (extra + 1))
+    blocks = []
+    for r, (rows, vectors, qrows) in enumerate(parsed, start=1):
         try:
             sigma = ColouredGraph.from_matrix(rows)
             flags = tuple(flag_from_vector(sigma, v) for v in vectors)
@@ -232,10 +241,6 @@ def load_certificate(text: str) -> Certificate:
                                            SymMatrix(qrows)))
         except ValueError as exc:
             raise CertificateError("block %d: %s" % (r, exc)) from exc
-    for extra in range(pos, len(lines)):
-        if lines[extra].strip():
-            raise CertificateError(
-                "line %d: unexpected text after block 10" % (extra + 1))
     try:
         return Certificate(bound, tuple(blocks))
     except ValueError as exc:

@@ -8,19 +8,18 @@ symmetric LDL^T elimination without pivoting: a symmetric matrix is PSD iff
 elimination runs to completion with every pivot >= 0, where a zero pivot is
 only legal when its entire remaining row is zero.  The elimination itself
 is fraction-free (Bareiss) on an integer matrix congruent to the input, so
-it keeps the inertia; the rational factors are read back from it.  When the
-test fails we return an explicit rational witness v with v^T M v < 0 that
-can be re-checked by direct evaluation.
+it keeps the inertia.  A PSD verdict's rational factors are read back from
+its pivot rows; when the test fails, one back-substitution over them gives
+a rational witness v with v^T M v < 0, re-checked by direct evaluation.
 
 A float may only propose such a witness.  Before eliminating, `psd_check`
 asks a float64 eigensolver for a clearly negative eigenvalue; its
 eigenvector, rounded to an integer vector v, is a NotPSD verdict only when
 the exact sum v^T M v is negative.  Every other case, and every PSD verdict
-with its rank, comes from the elimination alone; a PSD verdict keeps the
-elimination's integer pivot rows and reads its rational factorization from
-them only when asked.  This is the "numeric solve, exact check" pattern of
-Peyrl and Parrilo (2008), and it spares the elimination's long minors on
-blocks that are far from PSD.
+with its rank, comes from the elimination alone, and a PSD verdict builds
+its rational factorization only when asked.  This is the "numeric solve,
+exact check" pattern of Peyrl and Parrilo (2008), and it spares the
+elimination's long minors on blocks that are far from PSD.
 """
 
 from __future__ import annotations
@@ -181,7 +180,7 @@ class PsdVerdict:
     def factorization(self) -> LdlFactorization | None:
         if self._pivots is None:
             return None
-        L, diag = _factors(*self._pivots, None)
+        L, diag = _factors(*self._pivots)
         return LdlFactorization(tuple(map(tuple, L)), tuple(diag))
 
 
@@ -211,8 +210,9 @@ def _eliminate(M: SymMatrix):
     the Schur complement, so every division by the previous nonzero pivot
     p' is exact.  A zero pivot with a zero remaining row is skipped and
     leaves the matrix and p' alone.  Row j of the returned A, from column
-    j on, is the pivot row of step j, for every step up to the failed one.
-    The rational factors of M are read from it by `_factors`:
+    j on, is the pivot row of step j, for every step up to the failed one;
+    `psd_check` back-substitutes a NotPSD witness over these rows, and
+    `_factors` reads the rational factors of a PSD M from them:
     d_j = p / (p' s_j^2) and L_ij = A_ji s_j / (p s_i).
     """
     n = M.dim
@@ -238,23 +238,19 @@ def _eliminate(M: SymMatrix):
     return A, scale, None
 
 
-def _factors(A, scale, fail):
-    """The rational (L, diag) of `_eliminate`'s result, by the formulas in
-    its docstring: M = L diag(diag) L^T when fail is None.  After a failed
-    step, L is filled up to that step and diag up to and including it."""
+def _factors(A, scale):
+    """The rational (L, diag) with M = L diag(diag) L^T of a completed
+    elimination, read as `_eliminate`'s docstring says; PSD verdicts only."""
     n = len(A)
-    zero, one = Fraction(0), Fraction(1)
-    L = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    diag = [zero] * n
+    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    diag = [Fraction(0)] * n
     prev = 1
-    for j in range(n if fail is None else fail[0] + 1):
+    for j in range(n):
         Aj = A[j]
         piv = Aj[j]
         if not piv:
             continue
         diag[j] = Fraction(piv, prev * scale[j] ** 2)
-        if piv < 0:
-            break
         for i in range(j + 1, n):
             if Aj[i]:
                 L[i][j] = Fraction(Aj[i] * scale[j], piv * scale[i])
@@ -293,7 +289,14 @@ def _proposed_witness(M: SymMatrix) -> tuple | None:
 
 def psd_check(M: SymMatrix) -> PsdVerdict:
     """Exact PSD test.  NotPSD verdicts carry a rational witness vector;
-    PSD verdicts their rank, and their factorization on request."""
+    PSD verdicts their rank, and their factorization on request.
+
+    Unless the float step proposes it, a witness v = S x comes from the
+    failed elimination (step, kind, row): x[row] = 1 / s_row, at a zero pivot
+    x[step] = -(A_rr + p' s_row^2) / (2 A_step,row s_row) with p' the last
+    nonzero pivot (or 1), and x[m] = -sum_{l>m} A_ml x[l] / A_mm bottom up on
+    the earlier nonzero pivots.  So (A x)_m = 0 there, and v^T M v is the
+    Schur form on (v_step, v_row): negative, and -1 at a zero pivot."""
     witness = _proposed_witness(M)
     if witness is not None:
         return PsdVerdict(is_psd=False, witness=witness)
@@ -303,31 +306,18 @@ def psd_check(M: SymMatrix) -> PsdVerdict:
         return PsdVerdict(is_psd=True,
                           rank=sum(1 for j in range(n) if A[j][j]),
                           _pivots=(tuple(map(tuple, A)), scale))
-    L, _ = _factors(A, scale, fail)
     step, kind, row = fail
-
-    def pullback(w):
-        v = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            v[i] = w[i] - sum(L[m][i] * v[m]
-                              for m in range(i + 1, n) if L[m][i])
-        return v
-
-    if kind == "negative":
-        w = [Fraction(0)] * n
-        w[step] = Fraction(1)
-        v = pullback(w)
-    else:
-        # zero pivot at `step`, nonzero residual in row `row`.  In the Schur
-        # complement the 2x2 block [[0, r], [r, s]] is indefinite; choose the
-        # mixing that makes the form evaluate to exactly -1.
-        e_j = pullback([Fraction(int(i == step)) for i in range(n)])
-        e_i = pullback([Fraction(int(i == row)) for i in range(n)])
-        r = sum(e_i[a] * sum(M.rows[a][b] * e_j[b] for b in range(n))
-                for a in range(n))
-        s = M.quadratic_form(e_i)
-        x = -(s + 1) / (2 * r)
-        v = [x * a + b for a, b in zip(e_j, e_i)]
+    prev = next((A[m][m] for m in reversed(range(step)) if A[m][m]), 1)
+    c = 2 * A[step][row] if kind == "zero_pivot" else 1
+    y = [0] * n             # prev c s_row x: integral, by Cramer's rule
+    y[row] = prev * c
+    if kind == "zero_pivot":
+        y[step] = -prev * (A[row][row] + prev * scale[row] ** 2)
+    for m in reversed(range(step)):
+        if A[m][m]:
+            y[m], = _exact_quotients(
+                [-sum(A[m][l] * y[l] for l in range(m + 1, n))], A[m][m])
+    v = [Fraction(s * t, prev * c * scale[row]) for s, t in zip(scale, y)]
     if not M.quadratic_form(v) < 0:
         raise WitnessError("witness for the pivot at step %d is not negative"
                            % step)

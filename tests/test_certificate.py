@@ -124,6 +124,28 @@ def test_loader_rejects_trailing_text(shipped_cert):
     assert load_certificate(text + "\n\n") == shipped_cert
 
 
+def test_loader_refuses_a_file_before_building_its_blocks(shipped_cert):
+    # text after block 10, or a file cut off inside it, is refused before
+    # any of the ten blocks is built
+    text = serialize_certificate(shipped_cert)
+    lines = text.splitlines()
+    cut = len(lines) - 10
+    cases = [(text + "\nTYPE 11\n",
+              "line %d: unexpected text after block 10" % (len(lines) + 2)),
+             ("\n".join(lines[:cut]) + "\n",
+              "unexpected end of file at line %d" % (cut + 1))]
+    for bad, message in cases:
+        with mock.patch.object(cert_mod, "CertificateBlock",
+                               wraps=CertificateBlock) as built:
+            with pytest.raises(CertificateError, match=message):
+                load_certificate(bad)
+        assert built.call_count == 0
+    with mock.patch.object(cert_mod, "CertificateBlock",
+                           wraps=CertificateBlock) as built:
+        assert load_certificate(text) == shipped_cert
+    assert built.call_count == 10
+
+
 def test_loader_rejects_bad_header():
     with pytest.raises(CertificateError, match="FLAGCERT"):
         load_certificate("FLAGCERT 2\nBOUND 1/25\n")

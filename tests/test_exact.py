@@ -19,8 +19,10 @@ F = Fraction
 
 
 def fraction_eliminate(M: SymMatrix):
-    """Oracle: pivot-free symmetric elimination done in Fractions, with the
-    (L, diag, fail) that `exact._factors` reads from `exact._eliminate`."""
+    """Oracle: pivot-free symmetric elimination done in Fractions, giving
+    (L, diag, fail).  After a completed elimination (L, diag) is what
+    `exact._factors` reads from `exact._eliminate`; after a failed step L is
+    filled up to that step, for `pullback_witness`."""
     n = M.dim
     A = [list(row) for row in M.rows]
     L = [[F(int(i == j)) for j in range(n)] for i in range(n)]
@@ -47,6 +49,30 @@ def fraction_eliminate(M: SymMatrix):
                 if Aj[k]:
                     Ai[k] -= lij * Aj[k]
     return L, diag, None
+
+
+def pullback_witness(M: SymMatrix, L, fail) -> tuple:
+    """Reference NotPSD witness, pulled back through the partial L of
+    `fraction_eliminate`: v = L^-T e_step at a negative pivot; at a zero
+    pivot the mix x L^-T e_step + L^-T e_row on which the form is -1."""
+    n = M.dim
+    step, kind, row = fail
+
+    def pullback(i):
+        v = [F(0)] * n
+        for k in range(n - 1, -1, -1):
+            v[k] = F(int(k == i)) - sum(L[m][k] * v[m]
+                                        for m in range(k + 1, n) if L[m][k])
+        return v
+
+    e_j = pullback(step)
+    if kind == "negative":
+        return tuple(e_j)
+    e_i = pullback(row)
+    r = sum(e_i[a] * sum(M.rows[a][b] * e_j[b] for b in range(n))
+            for a in range(n))
+    x = -(fraction_quadratic_form(M, e_i) + 1) / (2 * r)
+    return tuple(x * a + b for a, b in zip(e_j, e_i))
 
 
 def fraction_quadratic_form(M: SymMatrix, v) -> Fraction:
@@ -151,6 +177,16 @@ def small_matrices(draw, n=5):
 def eliminate_spy():
     """`exact._eliminate`, wrapped so a test can count its calls."""
     return mock.patch.object(exact, "_eliminate", wraps=exact._eliminate)
+
+
+def factors_spy():
+    """`exact._factors`, wrapped so a test can count its calls."""
+    return mock.patch.object(exact, "_factors", wraps=exact._factors)
+
+
+def no_float_step():
+    """`exact._proposed_witness` refused: every verdict is eliminated."""
+    return mock.patch.object(exact, "_proposed_witness", return_value=None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -258,17 +294,25 @@ def test_integer_elimination_matches_fraction_oracle(rows):
     L, diag, fail = fraction_eliminate(m)
     A, scale, int_fail = exact._eliminate(m)
     assert int_fail == fail
-    assert exact._factors(A, scale, fail) == (L, diag)
     verdict = psd_check(m)
     assert verdict.is_psd == (fail is None)
     if fail is None:
+        assert exact._factors(A, scale) == (L, diag)
         assert verdict.factorization.lower == tuple(map(tuple, L))
         assert verdict.factorization.diag == tuple(diag)
         assert verdict.rank == sum(1 for d in diag if d)
         assert verdict.factorization.reconstruct() == m
-    else:
-        assert verdict.rank is None
-        assert m.quadratic_form(verdict.witness) < 0
+        return
+    assert verdict.rank is None
+    assert m.quadratic_form(verdict.witness) < 0
+    # the elimination's own witness: the pullback through the rational L,
+    # back-substituted over the integer pivot rows with no factors built
+    with no_float_step(), factors_spy() as spy:
+        verdict = psd_check(m)
+    assert not verdict.is_psd and verdict.rank is None
+    assert verdict.witness == pullback_witness(m, L, fail)
+    assert fraction_quadratic_form(m, verdict.witness) < 0
+    assert spy.call_count == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -316,6 +360,13 @@ def test_exact_steps_read_only_the_integer_form(shipped_cert, shipped_table):
         assert exact._proposed_witness(bare) == exact._proposed_witness(m)
         assert bare.quadratic_form(v) == fraction_quadratic_form(m, v)
     assert exact._proposed_witness(negated) is not None
+    # an elimination witness, at a zero and at a negative pivot
+    with no_float_step():
+        for m in (SymMatrix([[0, 1], [1, 0]]), SymMatrix([[1, 2], [2, 1]]),
+                  negated):
+            verdict = psd_check(m)
+            assert not verdict.is_psd
+            assert psd_check(form_only(m)) == verdict
     bare_cert = Certificate(shipped_cert.bound, tuple(
         replace(b, Q=form_only(b.Q)) for b in shipped_cert.blocks))
     assert (lambda_vector(bare_cert, shipped_table)
