@@ -19,7 +19,7 @@ for l in range(6):
 # a canonical key is a relabelling-invariant fingerprint
 models = enumerate_models(3, 3)
 for M in models:
-    print(canonical_key(M).hex(), M.entries)
+    print(canonical_key(M).hex(), tuple(M.entries))
 
 # relabelling never changes the key
 M = models[4]

@@ -12,7 +12,7 @@ from triflag import (ColouredGraph, Flag, avg_coefficient, enumerate_flags,
 
 # a type is a fully labelled coloured triangle; there are ten of them
 types = ten_types()
-print([t.entries for t in types])
+print([tuple(t.entries) for t in types])
 
 # over a 3-vertex type, a 4-vertex flag is determined by the colours the
 # extra vertex sends to the three labels: 27 flags per type

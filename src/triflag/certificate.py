@@ -287,7 +287,7 @@ class ModelData:
         types (1, 1, 1), (2, 2, 2) and (3, 3, 3) over 6."""
 
     def __init__(self):
-        self.keys = tuple(bytes(M.entries) for M in enumerate_models(5, 3))
+        self.keys = tuple(M.entries for M in enumerate_models(5, 3))
         self.row = {key: t for t, key in enumerate(self.keys)}
         flats = np.frombuffer(b"".join(self.keys),
                               dtype=np.uint8).reshape(-1, 10)

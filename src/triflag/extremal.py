@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .graphs import (ColouredGraph, SizeLimitError, canonical_key,
-                     corollary_value, mono_triangles)
+from .graphs import (ColouredGraph, SizeLimitError, _check_size,
+                     canonical_key, corollary_value, mono_triangles)
 
 EXACT_PARTITION_MAX_N = 25
 
@@ -78,6 +78,7 @@ def build_gex(n: int) -> ColouredGraph:
     """
     if n < 5:
         raise ValueError("n must be at least |base| = 5")
+    _check_size(n, 3)
     base = pentagon_base()
     owner = [ci for ci, size in enumerate(class_sizes(n, 5))
              for _ in range(size)]

@@ -25,31 +25,18 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .graphs import ColouredGraph, SizeLimitError, enumerate_models
+from .graphs import (ColouredGraph, SizeLimitError, _pair_table,
+                     enumerate_models)
 
 # A type is just a ColouredGraph whose vertices are read as labels 1..s.
 TypeSigma = ColouredGraph
 
-# upper-triangle colour listings of the ten 3-vertex types, in the order
-# used by the shipped certificate
-TEN_TYPE_ENTRIES = (
-    (1, 1, 1),
-    (1, 1, 2),
-    (1, 1, 3),
-    (1, 2, 2),
-    (1, 2, 3),
-    (1, 3, 3),
-    (2, 2, 2),
-    (2, 2, 3),
-    (2, 3, 3),
-    (3, 3, 3),
-)
-
 
 def ten_types() -> list[TypeSigma]:
     """The ten 3-vertex types, one per isomorphism class of coloured
-    triangles, in certificate order."""
-    return [ColouredGraph(3, 3, ent) for ent in TEN_TYPE_ENTRIES]
+    triangles, in certificate order: the 3-vertex models, whose listings
+    (their keys) are the sorted colour triples."""
+    return enumerate_models(3, 3)
 
 
 class Flag:
@@ -249,9 +236,7 @@ def _injection_positions() -> np.ndarray:
     labelled triangle into 5 vertices, in `permutations` order, with x < y
     the other two vertices: the pairs ab, ac, bc, then xa, xb, xc, then
     ya, yb, yc."""
-    pos = {}
-    for t, (i, j) in enumerate(combinations(range(5), 2)):
-        pos[i, j] = pos[j, i] = t
+    pos = _pair_table(5)
     rows = []
     for a, b, c in permutations(range(5), 3):
         x, y = (v for v in range(5) if v not in (a, b, c))

@@ -35,6 +35,7 @@ from itertools import chain, combinations, product
 import numpy as np
 
 CANON_MAX_N = 10       # exhaustive canonicalization limit
+GRAPH_MAX_N = 400      # vertex limit of a ColouredGraph (see README)
 _DECIMAL = re.compile(r"[0-9]+")
 _BATCH_BYTES = 1 << 20  # bytes of relabelled listings per gather (min. one row)
 _MAX_CANDIDATES = 192_456  # extension batch of enumerate_models(6, 3)
@@ -44,29 +45,38 @@ class SizeLimitError(ValueError):
     """Input exceeds the size supported by an exhaustive operation."""
 
 
-def _check_colour_count(k: int):
-    # colours are stored one byte each, in listings and canonical keys
+def _check_size(n: int, k: int):
+    # colours are stored one byte each, in listings and canonical keys;
+    # counting monochromatic triangles loops over all C(n, 3) triples
     if not 1 <= k <= 255:
         raise (SizeLimitError if k > 255 else ValueError)(
             "colour count must be 1 <= k <= 255, got %d" % k)
+    if not 0 <= n <= GRAPH_MAX_N:
+        raise (SizeLimitError if n > GRAPH_MAX_N else ValueError)(
+            "vertex count must be 0 <= n <= %d, got %d" % (GRAPH_MAX_N, n))
 
 
 class ColouredGraph:
     """Complete graph with an edge colouring over {1..k}.
 
-    Stored as the row-major upper-triangle colour listing; the diagonal is 0.
-    Immutable.
+    `entries` is the row-major upper-triangle colour listing, one byte per
+    edge; for a graph in canonical form it is the canonical key.  Immutable.
     """
 
     __slots__ = ("n", "k", "entries")
 
-    def __init__(self, n: int, k: int = 3, entries=()):
-        _check_colour_count(k)
+    def __init__(self, n: int, k: int = 3, entries=b""):
+        _check_size(n, k)
         m = n * (n - 1) // 2
-        entries = tuple(int(c) for c in entries)
+        if isinstance(entries, np.ndarray):
+            entries = entries.tolist()  # by value: bytes() copies raw memory
+        try:
+            entries = bytes(entries)
+        except ValueError:              # a colour outside 0..255
+            raise ValueError("edge colour out of range 1..%d" % k) from None
         if len(entries) != m:
             raise ValueError("expected %d edge colours, got %d" % (m, len(entries)))
-        if any(c < 1 or c > k for c in entries):
+        if entries and not 1 <= min(entries) <= max(entries) <= k:
             raise ValueError("edge colour out of range 1..%d" % k)
         self.n = n
         self.k = k
@@ -117,10 +127,7 @@ class ColouredGraph:
         return ColouredGraph(len(vs), self.k, ent)
 
     def edge_colour_counts(self) -> dict:
-        counts = dict.fromkeys(range(1, self.k + 1), 0)
-        for c in self.entries:
-            counts[c] += 1
-        return counts
+        return {c: self.entries.count(c) for c in range(1, self.k + 1)}
 
     def __eq__(self, other):
         return (isinstance(other, ColouredGraph) and self.n == other.n
@@ -130,12 +137,22 @@ class ColouredGraph:
         return hash((self.n, self.k, self.entries))
 
     def __repr__(self):
-        return "ColouredGraph(n=%d, k=%d, %r)" % (self.n, self.k, self.entries)
+        return "ColouredGraph(n=%d, k=%d, %r)" % (self.n, self.k, tuple(self.entries))
 
 
 def _pair_index(n: int, i: int, j: int) -> int:
     # row-major upper-triangle position of pair (i, j), i < j
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
+
+
+@lru_cache(maxsize=16)
+def _pair_table(n: int) -> np.ndarray:
+    """Read-only (n, n) int32 P, P[a, b] = P[b, a] the position of {a, b}."""
+    table = np.zeros((n, n), dtype=np.int32)
+    a, b = np.triu_indices(n, 1)
+    table[a, b] = table[b, a] = _pair_index(n, a, b)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -151,10 +168,8 @@ def _relabelling_index(n: int) -> np.ndarray:
             for first in range(size)])
     cols = np.ascontiguousarray(perms.T)      # cols[i]: images of vertex i
     del perms
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pos = np.zeros(n * n, dtype=np.uint8)     # pos[a * n + b]: pair {a, b}
-    for t, (i, j) in enumerate(pairs):
-        pos[i * n + j] = pos[j * n + i] = t
+    pos = _pair_table(n).ravel()              # pos[a * n + b]: pair {a, b}
+    pairs = list(combinations(range(n), 2))
     idx = np.empty((len(pairs), cols.shape[1]), dtype=np.uint8)
     for t, (i, j) in enumerate(pairs):
         idx[t] = pos[cols[i].astype(np.int16) * n + cols[j]]
@@ -200,9 +215,9 @@ def canonical_form(G: ColouredGraph):
     The key is the lexicographically smallest colour listing over all n!
     relabellings, so n is limited to CANON_MAX_N.  Returns (key, perm)
     where perm maps canonical positions to original vertices:
-    G.relabel(perm).entries == key (as a byte sequence).
+    G.relabel(perm).entries == key.
     """
-    flat = np.array(G.entries, dtype=np.uint8).reshape(1, -1)
+    flat = np.frombuffer(G.entries, dtype=np.uint8).reshape(1, -1)
     (key,), (rank,) = _lex_min(flat, G.n)
     rest = list(range(G.n))
     perm = []
@@ -263,7 +278,7 @@ def _check_enumeration_limit(l: int, k: int):
     # enumerating K_l extends every (l-1)-vertex model by all k^(l-1)
     # colourings of the new vertex's edges, a batch that grows with k as
     # fast as with l
-    _check_colour_count(k)
+    _check_size(l, k)
     if l > CANON_MAX_N:
         raise SizeLimitError("enumeration limited to l <= %d" % CANON_MAX_N)
     if l >= 2:
@@ -297,8 +312,6 @@ def enumerate_models(l: int, k: int = 3) -> list[ColouredGraph]:
     if l < 0:
         raise ValueError("l must be >= 0")
     _check_enumeration_limit(l, k)
-    if l == 0:
-        return [ColouredGraph(0, k)]
     return [ColouredGraph(l, k, key) for key in _model_keys(l, k)]
 
 
@@ -347,9 +360,7 @@ def _subset_listings(flats: np.ndarray, n: int, l: int) -> np.ndarray:
     """The listings of all l-subsets of each row of a (g, m) uint8 batch of
     n-vertex listings: a (g * C(n, l), l(l-1)/2) array, row by row and in
     `combinations` order within a row."""
-    pos = np.zeros((n, n), dtype=np.int32)      # pos[a, b]: pair {a, b}
-    a, b = np.triu_indices(n, 1)
-    pos[a, b] = pos[b, a] = np.arange(len(a))
+    pos = _pair_table(n)
     subsets = np.fromiter(chain.from_iterable(combinations(range(n), l)),
                           np.int32, math.comb(n, l) * l).reshape(-1, l)
     pairs = list(combinations(range(l), 2))
@@ -372,7 +383,7 @@ def subgraph_class_counts(G: ColouredGraph, l: int) -> dict:
     if l < 2:
         return {b"": math.comb(n, l)}
     m = l * (l - 1) // 2
-    listings = _subset_listings(np.array([G.entries], dtype=np.uint8), n, l)
+    listings = _subset_listings(np.frombuffer(G.entries, np.uint8)[None], n, l)
     # canonicalise each distinct listing once, then tally
     raw, counts = np.unique(listings.view("S%d" % m), return_counts=True)
     keys = canonical_keys_batch(raw.view(np.uint8).reshape(-1, m), l)
@@ -476,6 +487,7 @@ def parse_graph(text: str) -> ColouredGraph:
     if len(head) != 2:
         raise ValueError("header must be 'n k'")
     n, k = head
+    _check_size(n, k)
     if len(lines) != n + 1:
         raise ValueError("expected %d matrix rows, got %d" % (n, len(lines) - 1))
     return ColouredGraph.from_matrix([_decimals(ln) for ln in lines[1:]], k)

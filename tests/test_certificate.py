@@ -172,7 +172,7 @@ def table_entry(table, r, key, i, j) -> Fraction:
 
 
 def test_table_identity_entries(shipped_cert, shipped_table):
-    key = bytes(all_red_k5().entries)
+    key = all_red_k5().entries
     block0 = shipped_cert.blocks[0]
     i = block0.vectors.index((1, 1, 1))
     assert table_entry(shipped_table, 0, key, i, i) == 1
@@ -218,7 +218,7 @@ def test_table_matches_avg_coefficient_spot_checks(shipped_cert,
                                                     block.vectors[i]),
                                    flag_from_vector(block.type_sigma,
                                                     block.vectors[j]), M)
-            assert table_entry(table, r, bytes(M.entries), i, j) == want
+            assert table_entry(table, r, M.entries, i, j) == want
     assert lambda_vector(moved, moved_table) == \
         lambda_vector(shipped_cert, shipped_table)
 
@@ -284,7 +284,7 @@ def test_lambda_vector_shipped(shipped_cert, shipped_table):
     lams = lambda_vector(shipped_cert, shipped_table)
     assert len(lams) == 792
     assert all(lam >= 0 for lam in lams.values())
-    assert lams[bytes(all_red_k5().entries)] == 0
+    assert lams[all_red_k5().entries] == 0
     from triflag.extremal import pentagon_base
     pent_key = canonical_key(pentagon_base())
     assert lams[pent_key] == 0
@@ -429,7 +429,7 @@ def test_bad_family_containment_matches_per_subset_oracle():
     for M in enumerate_models(5, 3):
         four = {canonical_key(M.induced(vs))
                 for vs in itertools.combinations(range(5), 4)}
-        want[bytes(M.entries)] = tuple(hk for hk in bad_keys if hk in four)
+        want[M.entries] = tuple(hk for hk in bad_keys if hk in four)
     bad = cert_mod.ModelData().bad
     assert list(bad.items()) == list(want.items())
     assert sum(map(bool, bad.values())) > 0
@@ -437,7 +437,7 @@ def test_bad_family_containment_matches_per_subset_oracle():
 
 def test_model_data_mono_matches_mono_triangles():
     mono = cert_mod.ModelData().mono
-    assert list(mono) == [bytes(M.entries) for M in enumerate_models(5, 3)]
+    assert list(mono) == [M.entries for M in enumerate_models(5, 3)]
     for key, total in mono.items():
         M = ColouredGraph(5, 3, tuple(key))
         assert total == mono_triangles(M)["total"]
@@ -450,10 +450,10 @@ def test_bad_family_violations_match_eager_containment(shipped_cert,
     bad_keys = [canonical_key(H) for H in bad_family()]
     want = []
     for M in enumerate_models(5, 3):
-        lam = report.lambdas[bytes(M.entries)]
+        lam = report.lambdas[M.entries]
         if lam <= 0:
             four = subgraph_class_counts(M, 4)
-            want += [(hk, bytes(M.entries), lam) for hk in bad_keys
+            want += [(hk, M.entries, lam) for hk in bad_keys
                      if four.get(hk, 0) > 0]
     assert len(want) == 45
     assert report.bad_family_violations == want
@@ -533,7 +533,7 @@ def test_extremal_zero_report(shipped_report):
     rows = cert_mod.extremal_zero_report(shipped_report.lambdas)
     assert len(rows) == 792
     occurring = {key for key, _, occ in rows if occ}
-    assert bytes(all_red_k5().entries) in occurring
+    assert all_red_k5().entries in occurring
     from triflag.extremal import pentagon_base
     assert canonical_key(pentagon_base()) in occurring
     for key, lam, occ in rows:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from triflag.certificate import (Certificate, CertificateBlock,
 from triflag.exact import DEFAULT_MAX_DEN, SymMatrix
 from triflag.cli import build_parser, main
 from triflag.extremal import build_gex
-from triflag.graphs import format_graph, parse_graph
+from triflag.graphs import GRAPH_MAX_N, format_graph, parse_graph
 
 
 SRC = str(Path(triflag.__file__).resolve().parent.parent)
@@ -167,6 +168,28 @@ def test_extremal_and_count_and_check(tmp_path, capsys):
     code, stdout, _ = run(capsys, "check-gn", str(graph))
     assert code == 0
     assert "member" in stdout
+
+
+def test_extremal_refuses_a_vertex_count_above_the_bound(capsys):
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "extremal", "--n", str(GRAPH_MAX_N + 1))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: vertex count must be 0 <= n <= %d, got %d\n" % (
+        GRAPH_MAX_N, GRAPH_MAX_N + 1)
+
+
+def test_count_refuses_a_graph_file_above_the_bound_at_its_header(
+        tmp_path, capsys):
+    # refused at the header: neither the row count nor the bad row is checked
+    path = tmp_path / "g.txt"
+    path.write_text("%d 3\nx\n" % (GRAPH_MAX_N + 1))
+    code, stdout, err = run(capsys, "count", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: vertex count must be 0 <= n <= %d, got %d\n" % (
+        GRAPH_MAX_N, GRAPH_MAX_N + 1)
 
 
 def test_extremal_has_no_colour_count_option(capsys):

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -54,8 +54,11 @@ SIGMA10 = ten_types()[9]
 
 def test_ten_types_cover_all_triangle_classes():
     types = ten_types()
-    assert SIGMA1.entries == (1, 1, 1)
-    assert SIGMA10.entries == (3, 3, 3)
+    # the shipped certificate's order
+    assert [tuple(t.entries) for t in types] == list(
+        combinations_with_replacement((1, 2, 3), 3))
+    assert SIGMA1.entries == bytes((1, 1, 1))
+    assert SIGMA10.entries == bytes((3, 3, 3))
     keys = {canonical_key(t) for t in types}
     assert keys == {canonical_key(M) for M in enumerate_models(3, 3)}
     assert len(keys) == 10
@@ -151,7 +154,8 @@ def test_triangle_pair_counts_matches_avg_coefficient():
 def test_triangle_pair_counts_batch_matches_oracle():
     # all 27 labelled types on all 792 models; codes follow product order
     models = enumerate_models(5, 3)
-    flats = np.array([M.entries for M in models], dtype=np.uint8)
+    flats = np.frombuffer(b"".join(M.entries for M in models),
+                          dtype=np.uint8).reshape(-1, 10)
     cells, counts, valid = triangle_pair_counts(flats)
     g = len(models)
     got = {}

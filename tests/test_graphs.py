@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from triflag.extremal import build_gex
 from triflag.flags import Flag
-from triflag.graphs import (CANON_MAX_N, ColouredGraph, SizeLimitError,
+from triflag.graphs import (CANON_MAX_N, GRAPH_MAX_N, ColouredGraph,
+                            SizeLimitError, _pair_index, _pair_table,
                             _relabelling_index, bad_family, canonical_form,
                             canonical_key, canonical_keys_batch,
                             corollary_value, count_models_polya, density,
@@ -67,13 +68,57 @@ def red_cycles(*lengths):
     return ColouredGraph.from_matrix(rows, k=2)
 
 
-def test_construction_validation():
-    with pytest.raises(ValueError):
-        ColouredGraph(3, 3, (1, 1))
-    with pytest.raises(ValueError):
-        ColouredGraph(3, 3, (1, 1, 4))
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("colours, valid", [
+    ([1, 2, 3], True),
+    ((1, 2, 3), True),
+    (range(1, 4), True),
+    (b"\x01\x02\x03", True),
+    (bytearray(b"\x01\x02\x03"), True),
+    (np.array([1, 2, 3], dtype=np.uint8), True),
+    # bytes() of this array would be 24 bytes of raw memory
+    (np.array([1, 2, 3], dtype=np.int64), True),
+    ((1, 1), False),
+    ((1, 2, 0), False),
+    ((1, 2, 4), False),
+    ((1, 2, -1), False),
+    ((1, 2, 256), False),
+    (np.array([1, 2, 256], dtype=np.int64), False),
+], ids=["list", "tuple", "range", "bytes", "bytearray", "uint8", "int64",
+        "too-few", "0", "k+1", "-1", "256", "int64-256"])
+def test_construction_validation(colours, valid):
+    if valid:
+        G = ColouredGraph(3, 3, colours)
+        assert type(G.entries) is bytes
+        assert G == ColouredGraph(3, 3, (1, 2, 3))
+        assert repr(G) == "ColouredGraph(n=3, k=3, (1, 2, 3))"
+    else:
+        with pytest.raises(ValueError, match="edge colour"):
+            ColouredGraph(3, 3, colours)
+
+
+def test_from_matrix_refuses_an_asymmetric_matrix():
+    with pytest.raises(ValueError, match="not symmetric"):
         ColouredGraph.from_matrix([[0, 1], [2, 0]])
+
+
+def test_vertex_count_is_bounded():
+    # n = -2 has n(n-1)/2 = 3 edges, so only the vertex check refuses it
+    with pytest.raises(ValueError, match="0 <= n <= %d, got -2" % GRAPH_MAX_N):
+        ColouredGraph(-2, 3, [1, 1, 1])
+    with pytest.raises(SizeLimitError, match="got %d" % (GRAPH_MAX_N + 1)):
+        ColouredGraph(GRAPH_MAX_N + 1, 3)
+    with pytest.raises(SizeLimitError):
+        build_gex(GRAPH_MAX_N + 1)
+    assert build_gex(GRAPH_MAX_N).n == GRAPH_MAX_N
+
+
+def test_pair_table_matches_pair_index():
+    # the numpy gathers read the table; colour() and matrix() the formula
+    for n in range(13):
+        table = _pair_table(n)
+        assert table.shape == (n, n)
+        for i, j in combinations(range(n), 2):
+            assert table[i, j] == table[j, i] == _pair_index(n, i, j)
 
 
 def test_all_red_triangle_key_is_labelling_invariant():
@@ -90,14 +135,14 @@ def test_pentagon_key_is_labelling_invariant():
 def test_canonical_form_returns_witness_permutation():
     G = shuffled(pentagon(), 11)
     key, perm = canonical_form(G)
-    assert bytes(G.relabel(perm).entries) == key
+    assert G.relabel(perm).entries == key
 
 
 @pytest.mark.parametrize("n", [8, 9])
 def test_canonical_form_witness_at_cached_and_rebuilt_index_sizes(n):
     G = random_graph(n, 3, n)
     key, perm = canonical_form(G)
-    assert bytes(G.relabel(perm).entries) == key
+    assert G.relabel(perm).entries == key
     assert canonical_key(shuffled(G, n)) == key
 
 
@@ -125,7 +170,7 @@ def test_canonical_key_matches_flag_key_reference(G):
 ])
 def test_model_keys_and_order_are_pinned(l, k, digest):
     # reports print model keys, so neither the keys nor their order may move
-    keys = b"".join(bytes(M.entries) for M in enumerate_models(l, k))
+    keys = b"".join(M.entries for M in enumerate_models(l, k))
     assert hashlib.sha256(keys).hexdigest() == digest
 
 
@@ -238,11 +283,13 @@ def test_model_counts_match_known_sequence():
 
 
 def test_enumeration_is_sorted_and_duplicate_free():
-    models = enumerate_models(4, 3)
-    keys = [canonical_key(M) for M in models]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
-    assert all(bytes(M.entries) == k for M, k in zip(models, keys))
+    for l in (4, 5):
+        models = enumerate_models(l, 3)
+        keys = [canonical_key(M) for M in models]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+        # a model's listing is its canonical key
+        assert all(M.entries == k for M, k in zip(models, keys))
 
 
 def test_enumeration_matches_polya_for_two_colours():
