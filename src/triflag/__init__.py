@@ -18,12 +18,12 @@ _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .exact import (SymMatrix, LdlFactorization, PsdVerdict, WitnessError,
                     InexactDivisionError, psd_check, parse_rational,
                     format_rational, rational_reconstruct, DEFAULT_MAX_DEN)
-from .graphs import (ColouredGraph, SizeLimitError, canonical_form,
-                     canonical_key, is_isomorphic, enumerate_models,
+from .graphs import (ColouredGraph, SizeLimitError, canonical_key,
+                     is_isomorphic, enumerate_models,
                      count_models_polya, density, subgraph_class_counts,
                      mono_triangles, goodman, corollary_value, bad_family,
                      format_graph, parse_graph)
-from .flags import (TypeSigma, Flag, ten_types, identity_flag,
+from .flags import (Flag, ten_types, identity_flag,
                     flag_from_vector, vector_of_flag, enumerate_flags,
                     flag_density, avg_coefficient, verify_chain_rule)
 from .certificate import (Certificate, CertificateBlock, CertificateError,

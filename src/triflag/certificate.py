@@ -34,8 +34,7 @@ import numpy as np
 
 from .exact import (SymMatrix, _parse_integer, format_rational,
                     parse_rational, psd_check)
-from .flags import (TypeSigma, _colour_code, flag_from_vector,
-                    triangle_pair_counts)
+from .flags import _colour_code, flag_from_vector, triangle_pair_counts
 from .graphs import (ColouredGraph, _subset_listings, bad_family,
                      canonical_key, canonical_keys_batch, enumerate_models,
                      subgraph_class_counts)
@@ -49,7 +48,7 @@ class CertificateError(ValueError):
 
 @dataclass(frozen=True)
 class CertificateBlock:
-    type_sigma: TypeSigma
+    type_sigma: ColouredGraph
     vectors: tuple           # 27 colour vectors, file order
     flags: tuple             # 27 Flags matching `vectors`
     Q: SymMatrix
@@ -292,7 +291,7 @@ class ModelData:
         flats = np.frombuffer(b"".join(self.keys),
                               dtype=np.uint8).reshape(-1, 10)
         four = canonical_keys_batch(_subset_listings(flats, 5, 4), 4)
-        bad_keys = [canonical_key(H) for H in bad_family()]
+        bad_keys = [H.entries for H in bad_family()]
         self.bad = {key: tuple(hk for hk in bad_keys
                                if hk in four[5 * t:5 * t + 5])
                     for t, key in enumerate(self.keys)}

@@ -46,7 +46,7 @@ def _emit(lines, out_path=None):
 
 def _load_graph(path):
     with open(path) as fh:
-        return parse_graph(fh.read())
+        return parse_graph(fh)
 
 
 def cmd_enumerate(args) -> int:

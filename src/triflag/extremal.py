@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .graphs import (ColouredGraph, SizeLimitError, _check_size,
-                     canonical_key, corollary_value, mono_triangles)
+                     corollary_value, mono_triangles)
 
 EXACT_PARTITION_MAX_N = 25
 
@@ -211,4 +211,4 @@ def brute_min_mono(n: int, k: int):
             minimisers = [M]
         elif t == best:
             minimisers.append(M)
-    return best, [canonical_key(M) for M in minimisers]
+    return best, [M.entries for M in minimisers]

@@ -19,7 +19,6 @@ they are tested against.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -28,11 +27,7 @@ import numpy as np
 from .graphs import (ColouredGraph, SizeLimitError, _pair_table,
                      enumerate_models)
 
-# A type is just a ColouredGraph whose vertices are read as labels 1..s.
-TypeSigma = ColouredGraph
-
-
-def ten_types() -> list[TypeSigma]:
+def ten_types() -> list[ColouredGraph]:
     """The ten 3-vertex types, one per isomorphism class of coloured
     triangles, in certificate order: the 3-vertex models, whose listings
     (their keys) are the sorted colour triples."""
@@ -60,7 +55,7 @@ class Flag:
     def type_size(self) -> int:
         return len(self.theta)
 
-    def flag_type(self) -> TypeSigma:
+    def flag_type(self) -> ColouredGraph:
         """The labelled type induced on the theta image."""
         return self.model.induced(self.theta)
 
@@ -91,11 +86,11 @@ class Flag:
         return "Flag(%r, theta=%r)" % (self.model, self.theta)
 
 
-def identity_flag(sigma: TypeSigma) -> Flag:
+def identity_flag(sigma: ColouredGraph) -> Flag:
     return Flag(sigma, tuple(range(sigma.n)))
 
 
-def flag_from_vector(sigma: TypeSigma, v) -> Flag:
+def flag_from_vector(sigma: ColouredGraph, v) -> Flag:
     """The 4-vertex flag over a 3-vertex type whose fourth vertex sends the
     colours v = (c1, c2, c3) to labels 1, 2, 3."""
     if sigma.n != 3:
@@ -123,7 +118,7 @@ def _induced_flag(model: ColouredGraph, theta, vertices) -> Flag:
     return Flag(model.induced(vs), tuple(pos[v] for v in theta))
 
 
-def _respects(model_mat, sigma: TypeSigma, theta) -> bool:
+def _respects(model_mat, sigma: ColouredGraph, theta) -> bool:
     s = sigma.n
     for a in range(s):
         for b in range(a + 1, s):
@@ -132,7 +127,7 @@ def _respects(model_mat, sigma: TypeSigma, theta) -> bool:
     return True
 
 
-def enumerate_flags(sigma: TypeSigma, l: int) -> list[Flag]:
+def enumerate_flags(sigma: ColouredGraph, l: int) -> list[Flag]:
     """One representative per flag-isomorphism class of sigma-flags on l
     vertices, in key order.  For a 3-vertex type and l = 4 the key order is
     the colour-vector order: the flags' `vector_of_flag`s are
@@ -182,7 +177,7 @@ def flag_density(F: Flag, G: Flag) -> Fraction:
     return Fraction(hits, total)
 
 
-def avg_coefficient(tau: TypeSigma, K1: Flag, K2: Flag,
+def avg_coefficient(tau: ColouredGraph, K1: Flag, K2: Flag,
                     L: ColouredGraph) -> Fraction:
     """Coefficient of L in the unlabelled flag product of K1 and K2.
 
@@ -284,23 +279,18 @@ def triangle_pair_counts(flats: np.ndarray):
 def verify_chain_rule(F: Flag, m: int, H: Flag) -> bool:
     """Check p(F, H) = sum over l=m flags G of p(F, G) p(G, H), exactly.
 
-    The m-subset classes of H are tallied once, so each subset key is
-    computed a single time rather than once per flag G.
+    A flag G that H does not contain has p(G, H) = 0, so the sum runs over
+    the m-subset classes of H only: tallied once, each through one induced
+    representative.
     """
     if not F.model.n <= m <= H.model.n:
         raise ValueError("need |F| <= m <= |H|")
-    sigma = F.flag_type()
     lhs = flag_density(F, H)
     rest = [v for v in range(H.model.n) if v not in H.theta]
-    tallies: Counter = Counter()
-    for extra in combinations(rest, m - sigma.n):
+    classes: dict[bytes, list] = {}     # key -> [representative, count]
+    for extra in combinations(rest, m - F.type_size):
         sub = _induced_flag(H.model, H.theta, list(H.theta) + list(extra))
-        tallies[sub.key()] += 1
-    total = sum(tallies.values())
-    rhs = Fraction(0)
-    for G in enumerate_flags(sigma, m):
-        hits = tallies.get(G.key(), 0)
-        if hits:
-            rhs += flag_density(F, G) * Fraction(hits, total)
-    return lhs == rhs
-
+        classes.setdefault(sub.key(), [sub, 0])[1] += 1
+    total = math.comb(len(rest), m - F.type_size)
+    return lhs == sum(flag_density(F, G) * Fraction(count, total)
+                      for G, count in classes.values())

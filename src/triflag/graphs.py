@@ -10,14 +10,15 @@ density must vanish in near-extremal colourings.
 
 The canonical key of a colouring is the lexicographically smallest
 upper-triangle colour listing over all n! relabellings (so n <= CANON_MAX_N).
-One numpy kernel finds it for a whole batch of listings: it gathers every
-relabelled listing through a cached index and takes one `argmin` over them
-as fixed-width byte strings.  Models are sorted by these keys and reports
-print them, so they stay this global minimum; colour-profile refinement
-would not lift the size limit either, since every vertex of a balanced
-blow-up has the same profile.  Isomorphism testing does not canonicalise:
-it is a search with colour-profile candidates and forward checking, exact
-for every n.
+One numpy kernel, `canonical_keys_batch`, finds it for a whole batch of
+listings: it gathers every relabelled listing through a cached index and
+takes one `argmin` over them as fixed-width byte strings.  A model is
+built from its key, so it needs no second canonicalisation.  Models are
+sorted by these keys and reports print them, so they stay this global
+minimum; colour-profile refinement would not lift the size limit either,
+since every vertex of a balanced blow-up has the same profile.
+Isomorphism testing does not canonicalise: it is a search with
+colour-profile candidates and forward checking, exact for every n.
 
 Listing batches are built by numpy and deduplicated as the same byte
 strings: one gather lists all l-subsets of a batch of graphs, and
@@ -30,7 +31,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 
 import numpy as np
 
@@ -39,6 +40,7 @@ GRAPH_MAX_N = 400      # vertex limit of a ColouredGraph (see README)
 _DECIMAL = re.compile(r"[0-9]+")
 _BATCH_BYTES = 1 << 20  # bytes of relabelled listings per gather (min. one row)
 _MAX_CANDIDATES = 192_456  # extension batch of enumerate_models(6, 3)
+_MAX_SUBSETS = 658_008     # C(40, 5): 5-subset counts of 40 vertices
 
 
 class SizeLimitError(ValueError):
@@ -157,9 +159,8 @@ def _pair_table(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _relabelling_index(n: int) -> np.ndarray:
-    """(n!, m) uint8 array I with listing[I[q]] the listing of the graph
-    relabelled by the q-th permutation of range(n) in lexicographic order
-    (the order of `itertools.permutations`)."""
+    """(n!, m) uint8 array I whose rows listing[I[q]] are the listings of
+    the graph under all n! relabellings."""
     perms = np.zeros((1, 0), dtype=np.int8)
     for size in range(1, n + 1):
         perms = np.concatenate([
@@ -176,59 +177,38 @@ def _relabelling_index(n: int) -> np.ndarray:
     return np.ascontiguousarray(idx.T)
 
 
-def _lex_min(flats: np.ndarray, n: int):
-    """Smallest relabelled listing of each row of a (g, m) uint8 batch of
-    n-vertex listings, and the lexicographic rank of a permutation giving
-    it (the first one).  Colours are at least 1, so no listing holds a zero
-    byte and fixed-width numpy byte strings order listings as bytes do."""
+def canonical_keys_batch(flats: np.ndarray, n: int) -> list[bytes]:
+    """Canonical keys of a (g, m) uint8 batch of n-vertex listings: the
+    smallest relabelled listing of each row.  Colours are at least 1, so no
+    listing holds a zero byte and fixed-width numpy byte strings order
+    listings as bytes do."""
     if n > CANON_MAX_N:
         raise SizeLimitError("canonicalisation limited to n <= %d"
                              % CANON_MAX_N)
     m = n * (n - 1) // 2
     if m == 0:
-        return [b""] * len(flats), [0] * len(flats)
+        return [b""] * len(flats)
     # the index is kept up to n = 9 (13 MB, and rebuilding it costs a
     # 9-vertex key far more than its gather); at n = 10 it takes 163 MB and
     # is rebuilt on each call
     idx = (_relabelling_index(n) if n <= 9
            else _relabelling_index.__wrapped__(n))
     step = max(1, _BATCH_BYTES // idx.size)
-    keys, ranks = [], []
+    keys = []
     for start in range(0, len(flats), step):
         block = flats[start:start + step]
         listings = np.ascontiguousarray(block[:, idx]).view("S%d" % m)
         listings = listings.reshape(len(block), -1)
         best = listings.argmin(axis=1)
         keys.extend(listings[np.arange(len(block)), best].tolist())
-        ranks.extend(best.tolist())
-    return keys, ranks
-
-
-def canonical_keys_batch(flats: np.ndarray, n: int) -> list[bytes]:
-    """Canonical keys for a batch of graphs given as a (g, m) uint8 array."""
-    return _lex_min(flats, n)[0]
-
-
-def canonical_form(G: ColouredGraph):
-    """Canonical key and the relabelling permutation achieving it.
-
-    The key is the lexicographically smallest colour listing over all n!
-    relabellings, so n is limited to CANON_MAX_N.  Returns (key, perm)
-    where perm maps canonical positions to original vertices:
-    G.relabel(perm).entries == key.
-    """
-    flat = np.frombuffer(G.entries, dtype=np.uint8).reshape(1, -1)
-    (key,), (rank,) = _lex_min(flat, G.n)
-    rest = list(range(G.n))
-    perm = []
-    for size in range(G.n, 0, -1):
-        q, rank = divmod(rank, math.factorial(size - 1))
-        perm.append(rest.pop(q))
-    return key, tuple(perm)
+    return keys
 
 
 def canonical_key(G: ColouredGraph) -> bytes:
-    return canonical_form(G)[0]
+    """Canonical key of one graph; a model from `enumerate_models` is
+    already its own key."""
+    flat = np.frombuffer(G.entries, np.uint8)[None]
+    return canonical_keys_batch(flat, G.n)[0]
 
 
 def is_isomorphic(G: ColouredGraph, H: ColouredGraph) -> bool:
@@ -380,8 +360,12 @@ def subgraph_class_counts(G: ColouredGraph, l: int) -> dict:
     if l > CANON_MAX_N:
         raise SizeLimitError("subgraph classes limited to l <= %d"
                              % CANON_MAX_N)
+    subsets = math.comb(n, l)      # listing rows, all held at once
+    if subsets > _MAX_SUBSETS:
+        raise SizeLimitError("subgraph classes limited to %d subsets; "
+                             "C(%d, %d) = %d" % (_MAX_SUBSETS, n, l, subsets))
     if l < 2:
-        return {b"": math.comb(n, l)}
+        return {b"": subsets}
     m = l * (l - 1) // 2
     listings = _subset_listings(np.frombuffer(G.entries, np.uint8)[None], n, l)
     # canonicalise each distinct listing once, then tally
@@ -479,15 +463,23 @@ def _decimals(line: str) -> list:
     return [int(t) for t in toks]
 
 
-def parse_graph(text: str) -> ColouredGraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+def parse_graph(source) -> ColouredGraph:
+    """Read the graph text format from a string or an open text file, one
+    line at a time: the header's sizes are checked before any row is read,
+    and reading stops at the first non-blank line after the n rows."""
+    lines = source.splitlines() if isinstance(source, str) else source
+    lines = (ln for ln in lines if ln.strip())
+    head = next(lines, None)
+    if head is None:
         raise ValueError("empty graph text")
-    head = _decimals(lines[0])
+    head = _decimals(head)
     if len(head) != 2:
         raise ValueError("header must be 'n k'")
     n, k = head
     _check_size(n, k)
-    if len(lines) != n + 1:
-        raise ValueError("expected %d matrix rows, got %d" % (n, len(lines) - 1))
-    return ColouredGraph.from_matrix([_decimals(ln) for ln in lines[1:]], k)
+    rows = [_decimals(ln) for ln in islice(lines, n)]
+    extra = next(lines, None) is not None
+    if extra or len(rows) != n:
+        raise ValueError("expected %d matrix rows, got %s"
+                         % (n, "more" if extra else len(rows)))
+    return ColouredGraph.from_matrix(rows, k)

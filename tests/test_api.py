@@ -9,9 +9,9 @@ PUBLIC_NAMES = [
     "CoefficientTable", "ColouredGraph", "DEFAULT_MAX_DEN", "Flag",
     "InexactDivisionError", "LdlFactorization", "MembershipWitness",
     "PsdVerdict", "SdpFormatError", "SdpProblem", "SizeLimitError",
-    "SymMatrix", "TypeSigma", "VerificationReport",
+    "SymMatrix", "VerificationReport",
     "WitnessError", "avg_coefficient", "bad_family", "brute_min_mono",
-    "build_gex", "canonical_form", "canonical_key", "certificate",
+    "build_gex", "canonical_key", "certificate",
     "class_sizes", "coefficient_table", "corollary_value",
     "count_models_polya", "density", "enumerate_flags", "enumerate_models",
     "exact", "export_sdp", "extremal", "extremal_zero_report",

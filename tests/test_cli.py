@@ -182,9 +182,12 @@ def test_extremal_refuses_a_vertex_count_above_the_bound(capsys):
 
 def test_count_refuses_a_graph_file_above_the_bound_at_its_header(
         tmp_path, capsys):
-    # refused at the header: neither the row count nor the bad row is checked
+    # refused at the header: neither the 20 MB of rows behind it nor the bad
+    # last row is parsed (test_graphs checks that none is read)
     path = tmp_path / "g.txt"
-    path.write_text("%d 3\nx\n" % (GRAPH_MAX_N + 1))
+    row = " ".join(["1"] * (GRAPH_MAX_N + 1)) + "\n"
+    path.write_text("%d 3\n" % (GRAPH_MAX_N + 1)
+                    + row * (20_000_000 // len(row)) + "x\n")
     code, stdout, err = run(capsys, "count", str(path))
     assert code == 2
     assert stdout == ""

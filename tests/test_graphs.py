@@ -1,5 +1,8 @@
 import hashlib
+import io
+import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,8 +15,8 @@ from triflag.extremal import build_gex
 from triflag.flags import Flag
 from triflag.graphs import (CANON_MAX_N, GRAPH_MAX_N, ColouredGraph,
                             SizeLimitError, _pair_index, _pair_table,
-                            _relabelling_index, bad_family, canonical_form,
-                            canonical_key, canonical_keys_batch,
+                            _relabelling_index, bad_family, canonical_key,
+                            canonical_keys_batch,
                             corollary_value, count_models_polya, density,
                             enumerate_models,
                             format_graph, goodman, is_isomorphic,
@@ -132,18 +135,14 @@ def test_pentagon_key_is_labelling_invariant():
     assert canonical_key(shuffled(G, 5)) == canonical_key(G)
 
 
-def test_canonical_form_returns_witness_permutation():
-    G = shuffled(pentagon(), 11)
-    key, perm = canonical_form(G)
-    assert G.relabel(perm).entries == key
-
-
 @pytest.mark.parametrize("n", [8, 9])
-def test_canonical_form_witness_at_cached_and_rebuilt_index_sizes(n):
+def test_canonical_key_is_invariant_at_cached_and_rebuilt_index_sizes(n):
     G = random_graph(n, 3, n)
-    key, perm = canonical_form(G)
-    assert G.relabel(perm).entries == key
+    key = canonical_key(G)
     assert canonical_key(shuffled(G, n)) == key
+    # the smallest listing of a relabelling: at most G's own, same colours
+    assert key <= G.entries
+    assert sorted(key) == sorted(G.entries)
 
 
 def test_nine_vertex_relabelling_index_is_cached():
@@ -183,7 +182,20 @@ def test_canonicalisation_size_guard():
     with pytest.raises(SizeLimitError):
         density(mono_kn(11, 1), build_gex(12))
     with pytest.raises(SizeLimitError):
-        canonical_form(mono_kn(11, 1))
+        canonical_key(mono_kn(11, 1))
+
+
+def test_subgraph_class_counts_refuses_too_many_subsets_at_once():
+    # C(120, 5) listings would take 3.5 GiB before any was canonicalised
+    G = build_gex(120)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="C\\(120, 5\\) = 190578024"):
+        subgraph_class_counts(G, 5)
+    with pytest.raises(SizeLimitError):
+        density(mono_kn(5, 1), G)
+    assert time.perf_counter() - start < 0.1
+    assert sum(subgraph_class_counts(build_gex(40), 5).values()) == \
+        math.comb(40, 5)
 
 
 def test_red_path_vs_red_matching_on_k4():
@@ -437,10 +449,26 @@ def test_subgraph_class_counts_total():
 def test_graph_text_round_trip():
     for G in [mono_kn(4, 2), pentagon()]:
         assert parse_graph(format_graph(G)) == G
-    with pytest.raises(ValueError):
+        assert parse_graph(io.StringIO(format_graph(G))) == G
+    with pytest.raises(ValueError, match="expected 2 matrix rows, got 1"):
         parse_graph("2 3\n0 1\n")
+    with pytest.raises(ValueError, match="expected 2 matrix rows, got more"):
+        parse_graph("2 3\n0 1\n1 0\n1 0\n")
     with pytest.raises(ValueError):
         parse_graph("")
+
+
+class _FailsPastFirstLine(io.StringIO):
+    def __next__(self):
+        if self.tell():
+            raise AssertionError("read past the first line")
+        return super().__next__()
+
+
+def test_parse_graph_refuses_a_file_at_its_header():
+    text = "%d 3\n" % (GRAPH_MAX_N + 1) + "1 " * GRAPH_MAX_N + "\n"
+    with pytest.raises(SizeLimitError, match="got %d" % (GRAPH_MAX_N + 1)):
+        parse_graph(_FailsPastFirstLine(text))
 
 
 @pytest.mark.parametrize("token", ["\u0663", "\uff13", "1_0", "+3", "-1",
