@@ -35,10 +35,14 @@ from itertools import chain, combinations, islice, product
 
 import numpy as np
 
-CANON_MAX_N = 10       # exhaustive canonicalization limit
+CANON_MAX_N = 9        # exhaustive canonicalization limit
 GRAPH_MAX_N = 400      # vertex limit of a ColouredGraph (see README)
 _DECIMAL = re.compile(r"[0-9]+")
+_MAX_LINE = 1 << 16    # chars per graph-file line (a 400-vertex row: 1.6 KB)
 _BATCH_BYTES = 1 << 20  # bytes of relabelled listings per gather (min. one row)
+# relabelled listings gathered by one canonicalisation, in bytes: those of
+# enumerate_models(6, 3), 192,456 * 6! * 15 (about 4 s of CPU)
+_MAX_GATHER = 2_078_524_800
 _MAX_CANDIDATES = 192_456  # extension batch of enumerate_models(6, 3)
 _MAX_SUBSETS = 658_008     # C(40, 5): 5-subset counts of 40 vertices
 
@@ -177,6 +181,15 @@ def _relabelling_index(n: int) -> np.ndarray:
     return np.ascontiguousarray(idx.T)
 
 
+def _check_gather(rows: int, n: int):
+    # canonicalising a row gathers its n! relabelled m-byte listings
+    size = rows * math.factorial(n) * (n * (n - 1) // 2)
+    if size > _MAX_GATHER:
+        raise SizeLimitError(
+            "canonicalisation limited to %d gathered bytes; %d listings of "
+            "%d vertices need %d" % (_MAX_GATHER, rows, n, size))
+
+
 def canonical_keys_batch(flats: np.ndarray, n: int) -> list[bytes]:
     """Canonical keys of a (g, m) uint8 batch of n-vertex listings: the
     smallest relabelled listing of each row.  Colours are at least 1, so no
@@ -185,14 +198,11 @@ def canonical_keys_batch(flats: np.ndarray, n: int) -> list[bytes]:
     if n > CANON_MAX_N:
         raise SizeLimitError("canonicalisation limited to n <= %d"
                              % CANON_MAX_N)
+    _check_gather(len(flats), n)
     m = n * (n - 1) // 2
     if m == 0:
         return [b""] * len(flats)
-    # the index is kept up to n = 9 (13 MB, and rebuilding it costs a
-    # 9-vertex key far more than its gather); at n = 10 it takes 163 MB and
-    # is rebuilt on each call
-    idx = (_relabelling_index(n) if n <= 9
-           else _relabelling_index.__wrapped__(n))
+    idx = _relabelling_index(n)
     step = max(1, _BATCH_BYTES // idx.size)
     keys = []
     for start in range(0, len(flats), step):
@@ -267,6 +277,7 @@ def _check_enumeration_limit(l: int, k: int):
             raise SizeLimitError(
                 "enumeration limited to %d candidate listings; l = %d, "
                 "k = %d needs %d" % (_MAX_CANDIDATES, l, k, batch))
+        _check_gather(batch, l)
 
 
 @lru_cache(maxsize=64)
@@ -463,11 +474,22 @@ def _decimals(line: str) -> list:
     return [int(t) for t in toks]
 
 
+def _file_lines(fh):
+    for number, line in enumerate(
+            iter(lambda: fh.readline(_MAX_LINE + 1), ""), 1):
+        if len(line) > _MAX_LINE:
+            raise ValueError("line %d is longer than %d characters"
+                             % (number, _MAX_LINE))
+        yield line
+
+
 def parse_graph(source) -> ColouredGraph:
     """Read the graph text format from a string or an open text file, one
     line at a time: the header's sizes are checked before any row is read,
-    and reading stops at the first non-blank line after the n rows."""
-    lines = source.splitlines() if isinstance(source, str) else source
+    and reading stops at the first non-blank line after the n rows.  A file
+    line may hold at most _MAX_LINE characters, its newline included."""
+    lines = (source.splitlines() if isinstance(source, str)
+             else _file_lines(source))
     lines = (ln for ln in lines if ln.strip())
     head = next(lines, None)
     if head is None:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import decimal
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificate import (NUM_FLAGS, Certificate, CertificateBlock,
@@ -37,29 +36,15 @@ from .exact import (DEFAULT_MAX_DEN, SymMatrix, _parse_integer,
 NUM_MODELS = 792
 NUM_BLOCKS = 11          # ten flag blocks + one diagonal slack block
 SIG_DIGITS = 40
-# Largest decimal exponent in a problem file, as CPython's int digit limit:
-# 1e999999999 would otherwise build a billion-digit integer.
-_MAX_EXPONENT = 4300
-# A value as export_sdp writes it ("-0.0125", "1") or as solvers do
-# ("1.5e-07"): ASCII digits only, where float() and Decimal also read
-# "1_0", non-ASCII digits, "inf" and "nan".
+# A value as a solver writes it ("-0.0125", "1", "1.5e-07"): ASCII digits
+# only, where float() also reads "1_0", non-ASCII digits, "inf" and "nan".
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 TARGET_BOUND = Fraction(1, 25)
 
 
 class SdpFormatError(ValueError):
-    """Malformed problem or solution file."""
-
-
-@dataclass
-class SdpProblem:
-    """Structural view of an exported problem file."""
-
-    m: int
-    block_sizes: tuple
-    rhs: tuple                 # exact Fractions of the written decimals
-    entries: dict              # (matno, blkno, i, j) -> Fraction
+    """Malformed solution file."""
 
 
 def _decimal_str(x: Fraction) -> str:
@@ -110,47 +95,6 @@ def _decimal(token: str, ln: int) -> str:
         raise SdpFormatError("line %d: non-finite value or not an ASCII "
                              "decimal: %.40r" % (ln, token))
     return token
-
-
-def _decimal_fraction(token: str, ln: int) -> Fraction:
-    """The exact value of a decimal token with a bounded exponent."""
-    try:
-        d = decimal.Decimal(_decimal(token, ln))
-    except decimal.InvalidOperation as exc:    # exponent beyond Decimal's
-        raise SdpFormatError("line %d: exponent out of range: %.40r"
-                             % (ln, token)) from exc
-    if abs(d.adjusted()) > _MAX_EXPONENT:
-        raise SdpFormatError("line %d: exponent beyond %d: %.40r"
-                             % (ln, _MAX_EXPONENT, token))
-    return Fraction(d)
-
-
-def parse_sdp(path) -> SdpProblem:
-    """Re-read an exported problem file; used for round-trip checks."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw)
-             if ln.strip() and not ln.lstrip().startswith(('"', "*"))]
-    if len(lines) < 4:
-        raise SdpFormatError("problem file too short")
-    (ln_m, m), (ln_n, nblocks), (ln_s, sizes), (ln_r, rhs) = lines[:4]
-    m = _integer(m, ln_m)
-    nblocks = _integer(nblocks, ln_n)
-    sizes = tuple(_integer(t, ln_s) for t in sizes.split())
-    rhs = tuple(_decimal_fraction(t, ln_r) for t in rhs.split())
-    if len(sizes) != nblocks:
-        raise SdpFormatError("block size count does not match nblocks")
-    if len(rhs) != m:
-        raise SdpFormatError("right-hand side has %d entries, expected %d"
-                             % (len(rhs), m))
-    entries = {}
-    for ln, text in lines[4:]:
-        toks = text.split()
-        if len(toks) != 5:
-            raise SdpFormatError("line %d: expected 5 fields" % ln)
-        matno, blkno, i, j = (_integer(t, ln) for t in toks[:4])
-        entries[matno, blkno, i, j] = _decimal_fraction(toks[4], ln)
-    return SdpProblem(m, sizes, rhs, entries)
 
 
 def parse_solution(path) -> list:

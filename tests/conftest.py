@@ -1,3 +1,6 @@
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from triflag import certificate as cert_mod
@@ -46,3 +49,20 @@ def _mutant(lines, rng):
 def mutant():
     """The seeded mutation step of the parser fuzz tests."""
     return _mutant
+
+
+def _read_problem(path):
+    """A problem file that `export_sdp` wrote, as (block sizes, right-hand
+    side, {(matno, blkno, i, j): value}), each number the Fraction of its
+    token.  Unchecked: the file is the program's own output, and the exact
+    counts the tests compare it with are the oracle."""
+    rows = [[Fraction(t) for t in line.split()]
+            for line in Path(path).read_text().splitlines()[3:]]
+    sizes, rhs = rows[:2]
+    return sizes, rhs, {tuple(map(int, r[:4])): r[4] for r in rows[2:]}
+
+
+@pytest.fixture
+def read_problem():
+    """The reader of exported problem files."""
+    return _read_problem

@@ -210,18 +210,18 @@ def test_criterion_09_mutation_sensitivity(shipped_cert, shipped_table,
 
 
 def test_criterion_10_sdp_round_trip(shipped_cert, shipped_table,
-                                     tmp_path):
+                                     tmp_path, read_problem):
     prob_path = tmp_path / "problem.dat-s"
     sdp_mod.export_sdp(prob_path)
-    prob = sdp_mod.parse_sdp(prob_path)
+    _, rhs, entries = read_problem(prob_path)
     tol = Fraction(1, 10**38)
     for k, key in enumerate(shipped_table.model_keys, start=1):
         M = ColouredGraph(5, 3, tuple(key))
         exact = Fraction(mono_triangles(M)["total"], 10) - Fraction(1, 25)
-        assert abs(prob.rhs[k - 1] - exact) <= tol
+        assert abs(rhs[k - 1] - exact) <= tol
         for (i, j), c in shipped_table.counts[k % 10][key].items():
             if i <= j:
-                assert abs(prob.entries[k, (k % 10) + 1, i + 1, j + 1]
+                assert abs(entries[k, (k % 10) + 1, i + 1, j + 1]
                            - Fraction(c, 120)) <= tol
 
     rng = random.Random(10)

@@ -8,7 +8,7 @@ PUBLIC_NAMES = [
     "Certificate", "CertificateBlock", "CertificateError", "ClassPartition",
     "CoefficientTable", "ColouredGraph", "DEFAULT_MAX_DEN", "Flag",
     "InexactDivisionError", "LdlFactorization", "MembershipWitness",
-    "PsdVerdict", "SdpFormatError", "SdpProblem", "SizeLimitError",
+    "PsdVerdict", "SdpFormatError", "SizeLimitError",
     "SymMatrix", "VerificationReport",
     "WitnessError", "avg_coefficient", "bad_family", "brute_min_mono",
     "build_gex", "canonical_key", "certificate",
@@ -19,7 +19,7 @@ PUBLIC_NAMES = [
     "format_rational", "goodman", "graphs", "identity_flag",
     "is_isomorphic", "is_member_gn", "lambda_vector", "load_certificate",
     "load_shipped_certificate", "mono_triangles", "parse_graph",
-    "parse_rational", "parse_sdp", "parse_solution", "pentagon_base",
+    "parse_rational", "parse_solution", "pentagon_base",
     "psd_check", "rational_reconstruct", "report_text", "round_solution",
     "sdp", "serialize_certificate", "subgraph_class_counts", "ten_types",
     "vector_of_flag", "verify", "verify_chain_rule",

@@ -195,6 +195,27 @@ def test_count_refuses_a_graph_file_above_the_bound_at_its_header(
         GRAPH_MAX_N, GRAPH_MAX_N + 1)
 
 
+def test_count_refuses_a_long_line_without_holding_it(tmp_path):
+    # a 20 MB first line is refused after its first 64 KiB; each file runs
+    # in a fresh process, which prints its own peak RSS (KB) at exit
+    script = ("import atexit, resource, sys; atexit.register(lambda: print("
+              "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)); "
+              "from triflag.cli import main; sys.exit(main(sys.argv[1:]))")
+    long_line = tmp_path / "long.txt"
+    long_line.write_text("%d%s3\n" % (GRAPH_MAX_N + 1, " " * 20_000_000))
+    header = tmp_path / "header.txt"
+    header.write_text("%d 3\n" % (GRAPH_MAX_N + 1))
+    peak = {}
+    for path, error in ((long_line, "line 1 is longer than 65536 characters"),
+                        (header, "vertex count must be")):
+        proc = run_python("-c", script, "count", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: " + error)
+        assert proc.stderr.count("\n") == 1
+        peak[path] = int(proc.stdout)
+    assert peak[long_line] <= peak[header] + 2048
+
+
 def test_extremal_has_no_colour_count_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["extremal", "--n", "11", "--k", "3"])
@@ -242,9 +263,14 @@ def test_count_rejects_non_ascii_digits(tmp_path, capsys):
 
 
 def test_enumerate_size_limit(capsys):
-    code, _, err = run(capsys, "enumerate", "--n", "11", "--k", "1")
-    assert code == 2
-    assert "error" in err
+    # refused before any gather: 8 vertices by the bytes its candidates
+    # would gather (151 GB), 10 by the vertex limit
+    for n, k in (("8", "2"), ("10", "1")):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "enumerate", "--n", n, "--k", k)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
     # 256 does not fit the one-byte colours
     code, _, err = run(capsys, "enumerate", "--n", "2", "--k", "256")
     assert code == 2

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from triflag.extremal import build_gex
 from triflag.flags import Flag
 from triflag.graphs import (CANON_MAX_N, GRAPH_MAX_N, ColouredGraph,
-                            SizeLimitError, _pair_index, _pair_table,
+                            SizeLimitError, _check_enumeration_limit,
+                            _pair_index, _pair_table,
                             _relabelling_index, bad_family, canonical_key,
                             canonical_keys_batch,
                             corollary_value, count_models_polya, density,
@@ -174,15 +175,31 @@ def test_model_keys_and_order_are_pinned(l, k, digest):
 
 
 def test_canonicalisation_size_guard():
-    # each call would otherwise build all 11! relabellings
+    # each call would otherwise build all 10! relabellings
     with pytest.raises(SizeLimitError):
-        canonical_keys_batch(np.ones((1, 55), dtype=np.uint8), 11)
+        canonical_keys_batch(np.ones((1, 45), dtype=np.uint8), 10)
     with pytest.raises(SizeLimitError):
-        subgraph_class_counts(build_gex(12), 11)
+        subgraph_class_counts(build_gex(12), 10)
     with pytest.raises(SizeLimitError):
-        density(mono_kn(11, 1), build_gex(12))
+        density(mono_kn(10, 1), build_gex(12))
     with pytest.raises(SizeLimitError):
-        canonical_key(mono_kn(11, 1))
+        canonical_key(mono_kn(10, 1))
+
+
+def test_canonicalisation_is_bounded_by_the_bytes_it_gathers():
+    # 133,632 candidates * 8! * 28 bytes = 151 GB, and the 220 distinct
+    # 9-subsets of a random K_12 * 9! * 36 = 2.9 GB; both pass a row count
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="gathered bytes"):
+        enumerate_models(8, 2)
+    with pytest.raises(SizeLimitError, match="gathered bytes"):
+        subgraph_class_counts(random_graph(12, 3, 9), 9)
+    with pytest.raises(SizeLimitError, match="gathered bytes"):
+        canonical_keys_batch(np.ones((160, 36), dtype=np.uint8), 9)
+    assert time.perf_counter() - start < 1
+    # the largest enumerations admitted
+    _check_enumeration_limit(6, 3)
+    _check_enumeration_limit(7, 2)
 
 
 def test_subgraph_class_counts_refuses_too_many_subsets_at_once():
@@ -325,7 +342,7 @@ def test_enumeration_size_limits():
     with pytest.raises(SizeLimitError):
         enumerate_models(9, 2)
     with pytest.raises(SizeLimitError):
-        enumerate_models(11, 1)
+        enumerate_models(10, 1)
     # colours are one byte each
     with pytest.raises(SizeLimitError, match="k <= 255"):
         enumerate_models(2, 256)
@@ -459,16 +476,29 @@ def test_graph_text_round_trip():
 
 
 class _FailsPastFirstLine(io.StringIO):
-    def __next__(self):
+    def readline(self, limit=-1):
         if self.tell():
             raise AssertionError("read past the first line")
-        return super().__next__()
+        return super().readline(limit)
 
 
 def test_parse_graph_refuses_a_file_at_its_header():
     text = "%d 3\n" % (GRAPH_MAX_N + 1) + "1 " * GRAPH_MAX_N + "\n"
     with pytest.raises(SizeLimitError, match="got %d" % (GRAPH_MAX_N + 1)):
         parse_graph(_FailsPastFirstLine(text))
+
+
+def test_parse_graph_caps_the_length_of_a_file_line():
+    # "0 1", the padding and the newline: 65,536 characters pass, 65,537
+    # do not; a string is already in memory and is not capped
+    for pad, error in ((65_532, None), (65_533, "line 2 is longer than 65536")):
+        text = "2 3\n0 1%s\n1 0\n" % (" " * pad)
+        assert parse_graph(text) == parse_graph("2 3\n0 1\n1 0\n")
+        if error is None:
+            assert parse_graph(io.StringIO(text)).n == 2
+        else:
+            with pytest.raises(ValueError, match=error):
+                parse_graph(io.StringIO(text))
 
 
 @pytest.mark.parametrize("token", ["\u0663", "\uff13", "1_0", "+3", "-1",
