@@ -36,8 +36,8 @@ from .exact import (SymMatrix, _parse_integer, format_rational,
                     parse_rational, psd_check)
 from .flags import _colour_code, flag_from_vector, triangle_pair_counts
 from .graphs import (ColouredGraph, _subset_listings, bad_family,
-                     canonical_key, canonical_keys_batch, enumerate_models,
-                     subgraph_class_counts)
+                     _text_lines, canonical_key, canonical_keys_batch,
+                     enumerate_models, subgraph_class_counts)
 
 NUM_FLAGS = 27
 
@@ -143,100 +143,89 @@ class VerificationReport:
         return "VERIFIED" if self.verified else "FAILED"
 
 
-def _integers(line: str, ln: int) -> list:
-    """The entries of a TYPE or FLAGS row: ASCII decimal integers."""
+def _expect(tag: str, line: str):
+    if line != tag:
+        raise ValueError("expected %r" % tag)
+
+
+def _bound(line: str) -> Fraction:
+    tag, _, value = line.partition(" ")
+    if tag != "BOUND":
+        raise ValueError("expected 'BOUND p/q'")
     try:
-        return [_parse_integer(t) for t in line.split()]
+        return parse_rational(value)
     except ValueError as exc:
-        raise CertificateError("line %d: %s" % (ln, exc)) from exc
+        raise ValueError("bad bound: %s" % exc) from exc
 
 
-def load_certificate(text: str) -> Certificate:
-    """Parse a certificate in the line-oriented FLAGCERT format.  Token errors
+def _row(width: int, parse, line: str) -> list:
+    toks = line.split()
+    if len(toks) != width:
+        raise ValueError("expected %d entries, got %d" % (width, len(toks)))
+    return [parse(t) for t in toks]
+
+
+def _colour(token: str) -> int:
+    c = _parse_integer(token)
+    if not 1 <= c <= 3:
+        raise ValueError("colours must be in 1..3, got %d" % c)
+    return c
+
+
+def load_certificate(source) -> Certificate:
+    """Parse a certificate in the line-oriented FLAGCERT format from a
+    string or an open text file, read one line at a time.  Token errors
     name their line; the types' own structural errors name the block.  Each
     distinct Q token is parsed once, and the blocks are built only once the
-    whole file has been read."""
-    lines = text.splitlines()
-    pos = 0
+    whole text has been read."""
+    lines = _text_lines(source, CertificateError)
+    number = 0                  # of the last line read
     rationals = {}              # Q token -> its Fraction
 
     def rational(token):
         x = rationals.get(token)
         if x is None:
-            x = rationals[token] = parse_rational(token)
+            try:
+                x = rationals[token] = parse_rational(token)
+            except ValueError as exc:
+                raise ValueError("bad rational: %s" % exc) from exc
         return x
 
-    def next_line():
-        nonlocal pos
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        if pos >= len(lines):
-            raise CertificateError("unexpected end of file at line %d" % (pos + 1))
-        pos += 1
-        return lines[pos - 1].strip(), pos
+    def line(parse, *args):
+        """parse(*args, the next line); a ValueError names the line."""
+        nonlocal number
+        number, text = next(lines, (number + 1, None))
+        if text is None:
+            raise CertificateError("unexpected end of file at line %d"
+                                   % number)
+        try:
+            return parse(*args, text)
+        except ValueError as exc:
+            raise CertificateError("line %d: %s" % (number, exc)) from exc
 
-    header, ln = next_line()
-    if header != "FLAGCERT 1":
-        raise CertificateError("line %d: expected 'FLAGCERT 1'" % ln)
-    bound_line, ln = next_line()
-    if not bound_line.startswith("BOUND "):
-        raise CertificateError("line %d: expected 'BOUND p/q'" % ln)
-    try:
-        bound = parse_rational(bound_line.split(None, 1)[1])
-    except (ValueError, IndexError) as exc:
-        raise CertificateError("line %d: bad bound: %s" % (ln, exc)) from exc
+    def section(tag, count, width, parse):
+        """The tag line, then `count` rows of `width` tokens, each token
+        passed through `parse`."""
+        line(_expect, tag)
+        return [line(_row, width, parse) for _ in range(count)]
 
-    parsed = []                 # per block: type rows, vectors, Q rows
-    for r in range(1, 11):
-        tag, ln = next_line()
-        if tag != "TYPE %d" % r:
-            raise CertificateError("line %d: expected 'TYPE %d'" % (ln, r))
-        rows = []
-        for _ in range(3):
-            row_line, ln = next_line()
-            row = _integers(row_line, ln)
-            if len(row) != 3:
-                raise CertificateError("line %d: type row needs 3 entries" % ln)
-            rows.append(row)
-        tag, ln = next_line()
-        if tag != "FLAGS %d" % NUM_FLAGS:
-            raise CertificateError("line %d: expected 'FLAGS %d'" % (ln, NUM_FLAGS))
-        vectors = []
-        for fi in range(NUM_FLAGS):
-            vec_line, ln = next_line()
-            vec = tuple(_integers(vec_line, ln))
-            if len(vec) != 3 or any(c < 1 or c > 3 for c in vec):
-                raise CertificateError(
-                    "line %d: block %d flag %d: colours must be in 1..3"
-                    % (ln, r, fi + 1))
-            vectors.append(vec)
-        tag, ln = next_line()
-        if tag != "Q %d" % NUM_FLAGS:
-            raise CertificateError("line %d: expected 'Q %d'" % (ln, NUM_FLAGS))
-        qrows = []
-        for qi in range(NUM_FLAGS):
-            row_line, ln = next_line()
-            toks = row_line.split()
-            if len(toks) != NUM_FLAGS:
-                raise CertificateError(
-                    "line %d: Q row %d needs %d entries, got %d"
-                    % (ln, qi + 1, NUM_FLAGS, len(toks)))
-            try:
-                qrows.append([rational(t) for t in toks])
-            except ValueError as exc:
-                raise CertificateError("line %d: bad rational: %s"
-                                       % (ln, exc)) from exc
-        parsed.append((rows, vectors, qrows))
-    for extra in range(pos, len(lines)):
-        if lines[extra].strip():
-            raise CertificateError(
-                "line %d: unexpected text after block 10" % (extra + 1))
+    line(_expect, "FLAGCERT 1")
+    bound = line(_bound)
+    parsed = [(section("TYPE %d" % r, 3, 3, _parse_integer),
+               section("FLAGS %d" % NUM_FLAGS, NUM_FLAGS, 3, _colour),
+               section("Q %d" % NUM_FLAGS, NUM_FLAGS, NUM_FLAGS, rational))
+              for r in range(1, 11)]
+    extra = next(lines, None)
+    if extra is not None:
+        raise CertificateError("line %d: unexpected text after block 10"
+                               % extra[0])
     blocks = []
     for r, (rows, vectors, qrows) in enumerate(parsed, start=1):
         try:
             sigma = ColouredGraph.from_matrix(rows)
+            vectors = tuple(map(tuple, vectors))
             flags = tuple(flag_from_vector(sigma, v) for v in vectors)
-            blocks.append(CertificateBlock(sigma, tuple(vectors), flags,
+            blocks.append(CertificateBlock(sigma, vectors, flags,
                                            SymMatrix(qrows)))
         except ValueError as exc:
             raise CertificateError("block %d: %s" % (r, exc)) from exc
@@ -262,7 +251,8 @@ def serialize_certificate(cert: Certificate) -> str:
 
 
 def shipped_certificate_text() -> str:
-    return resources.files("triflag.data").joinpath("certificate.txt").read_text()
+    return (resources.files("triflag.data").joinpath("certificate.txt")
+            .read_text(encoding="utf-8"))
 
 
 @cache          # parsed once per process; a Certificate is immutable

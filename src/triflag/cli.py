@@ -39,13 +39,13 @@ def _stamp(inputs=()) -> list:
 def _emit(lines, out_path=None):
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)
 
 
 def _load_graph(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_graph(fh)
 
 
@@ -58,7 +58,7 @@ def cmd_enumerate(args) -> int:
         lines.append("")
     lines.append("count %d" % len(models))
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     print("models=%d polya=%d %s"
           % (len(models), expected, "OK" if len(models) == expected else "MISMATCH"))
@@ -67,8 +67,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.cert:
-        with open(args.cert) as fh:
-            cert = cert_mod.load_certificate(fh.read())
+        with open(args.cert, encoding="utf-8") as fh:
+            cert = cert_mod.load_certificate(fh)
         lines = _stamp([args.cert])
     else:
         cert = cert_mod.load_shipped_certificate()
@@ -88,7 +88,7 @@ def cmd_extremal(args) -> int:
     tri = mono_triangles(G)["total"]
     formula = corollary_value(args.n)
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(format_graph(G))
     print("triangles=%d formula=%d %s"
           % (tri, formula, "OK" if tri == formula else "MISMATCH"))
@@ -158,7 +158,7 @@ def cmd_sdp_round(args) -> int:
     solution = sdp_mod.parse_solution(args.solution)
     cert = sdp_mod.round_solution(solution, max_den=args.max_den)
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(cert_mod.serialize_certificate(cert))
     report = cert_mod.verify(cert)
     lines = _stamp([args.solution])

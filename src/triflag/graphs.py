@@ -27,6 +27,7 @@ enumeration extends every model by all colourings of a new vertex's edges.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from fractions import Fraction
@@ -38,7 +39,9 @@ import numpy as np
 CANON_MAX_N = 9        # exhaustive canonicalization limit
 GRAPH_MAX_N = 400      # vertex limit of a ColouredGraph (see README)
 _DECIMAL = re.compile(r"[0-9]+")
-_MAX_LINE = 1 << 16    # chars per graph-file line (a 400-vertex row: 1.6 KB)
+# chars per line of any text input, its newline included: a certificate's
+# Q row of 27 rationals at int()'s 4,300-digit limit takes 232,280
+_MAX_LINE = 1 << 18
 _BATCH_BYTES = 1 << 20  # bytes of relabelled listings per gather (min. one row)
 # relabelled listings gathered by one canonicalisation, in bytes: those of
 # enumerate_models(6, 3), 192,456 * 6! * 15 (about 4 s of CPU)
@@ -464,42 +467,49 @@ def format_graph(G: ColouredGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _decimals(line: str) -> list:
+def _text_lines(source, error=ValueError):
+    """The numbered, stripped, non-blank lines of a string or an open text
+    file, read one line at a time.  A line may hold at most _MAX_LINE
+    characters, its newline included; a longer one raises `error`."""
+    if isinstance(source, str):
+        source = io.StringIO(source, newline=None)
+    for number, line in enumerate(
+            iter(lambda: source.readline(_MAX_LINE + 1), ""), 1):
+        if len(line) > _MAX_LINE:
+            raise error("line %d is longer than %d characters"
+                        % (number, _MAX_LINE))
+        line = line.strip()
+        if line:
+            yield number, line
+
+
+def _decimals(number: int, line: str) -> list:
     """The tokens of a graph-file line: unsigned ASCII decimal integers
     (bare int() would also take "1_0" and non-ASCII digits)."""
     toks = line.split()
-    bad = next((t for t in toks if not _DECIMAL.fullmatch(t)), None)
-    if bad is not None:
-        raise ValueError("not a decimal integer: %.40r" % bad)
-    return [int(t) for t in toks]
-
-
-def _file_lines(fh):
-    for number, line in enumerate(
-            iter(lambda: fh.readline(_MAX_LINE + 1), ""), 1):
-        if len(line) > _MAX_LINE:
-            raise ValueError("line %d is longer than %d characters"
-                             % (number, _MAX_LINE))
-        yield line
+    try:
+        bad = next((t for t in toks if not _DECIMAL.fullmatch(t)), None)
+        if bad is not None:
+            raise ValueError("not a decimal integer: %.40r" % bad)
+        return [int(t) for t in toks]
+    except ValueError as exc:
+        raise ValueError("line %d: %s" % (number, exc)) from exc
 
 
 def parse_graph(source) -> ColouredGraph:
     """Read the graph text format from a string or an open text file, one
     line at a time: the header's sizes are checked before any row is read,
-    and reading stops at the first non-blank line after the n rows.  A file
-    line may hold at most _MAX_LINE characters, its newline included."""
-    lines = (source.splitlines() if isinstance(source, str)
-             else _file_lines(source))
-    lines = (ln for ln in lines if ln.strip())
+    and reading stops at the first non-blank line after the n rows."""
+    lines = _text_lines(source)
     head = next(lines, None)
     if head is None:
         raise ValueError("empty graph text")
-    head = _decimals(head)
+    head = _decimals(*head)
     if len(head) != 2:
         raise ValueError("header must be 'n k'")
     n, k = head
     _check_size(n, k)
-    rows = [_decimals(ln) for ln in islice(lines, n)]
+    rows = [_decimals(*ln) for ln in islice(lines, n)]
     extra = next(lines, None) is not None
     if extra or len(rows) != n:
         raise ValueError("expected %d matrix rows, got %s"

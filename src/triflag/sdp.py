@@ -32,6 +32,7 @@ from .certificate import (NUM_FLAGS, Certificate, CertificateBlock,
                           model_data)
 from .exact import (DEFAULT_MAX_DEN, SymMatrix, _parse_integer,
                     rational_reconstruct)
+from .graphs import _text_lines
 
 NUM_MODELS = 792
 NUM_BLOCKS = 11          # ten flag blocks + one diagonal slack block
@@ -79,22 +80,17 @@ def export_sdp(path) -> None:
                         k, r, i + 1, j + 1,
                         _decimal_str(Fraction(count[t], 120))))
         lines.append("%d %d %d %d 1" % (k, NUM_BLOCKS, k, k))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _integer(token: str, ln: int) -> int:
-    try:
-        return _parse_integer(token)
-    except ValueError as exc:
-        raise SdpFormatError("line %d: %s" % (ln, exc)) from exc
-
-
-def _decimal(token: str, ln: int) -> str:
-    if not _DECIMAL.fullmatch(token):
-        raise SdpFormatError("line %d: non-finite value or not an ASCII "
-                             "decimal: %.40r" % (ln, token))
-    return token
+def _finite(token: str) -> float:
+    """A value as a solver writes it, finite as a float (float() takes
+    "1e400" to inf)."""
+    if _DECIMAL.fullmatch(token) and math.isfinite(x := float(token)):
+        return x
+    raise ValueError("non-finite value or not an ASCII decimal: %.40r"
+                     % token)
 
 
 def parse_solution(path) -> list:
@@ -105,49 +101,46 @@ def parse_solution(path) -> list:
     (matno 1, the slack matrix, is ignored); the dual values and the
     slack block are checked, not kept.  A repeated entry keeps its last
     value.  An off-diagonal entry given in both triangles takes the float
-    average of the two, one given in a single triangle is mirrored.
+    average of the two, one given in a single triangle is mirrored.  The
+    file is read one line at a time.
     """
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
-    if not lines:
-        raise SdpFormatError("empty solution file")
-    ln, first = lines[0]
-    y = [float(_decimal(t, ln)) for t in first.split()]
-    if not all(map(math.isfinite, y)):
-        raise SdpFormatError("line %d: non-finite value in dual vector" % ln)
-    if len(y) != NUM_MODELS:
-        raise SdpFormatError("line %d: dual vector has %d entries, expected %d"
-                             % (ln, len(y), NUM_MODELS))
     cells: dict = {}
+    dual = None
     seen_matrix = False
-    for ln, text in lines[1:]:
-        toks = text.split()
-        if len(toks) != 5:
-            raise SdpFormatError("line %d: expected 'matno blkno i j value'"
-                                 % ln)
-        matno, blkno, i, j = (_integer(t, ln) for t in toks[:4])
-        val = float(_decimal(toks[4], ln))
-        if not math.isfinite(val):        # overflow like 1e400
-            raise SdpFormatError("line %d: non-finite value %.40r"
-                                 % (ln, toks[4]))
-        if matno == 1:
-            continue
-        if matno != 2:
-            raise SdpFormatError("line %d: unknown matrix number %d"
-                                 % (ln, matno))
-        seen_matrix = True
-        if 1 <= blkno <= 10:
-            if not (1 <= i <= NUM_FLAGS and 1 <= j <= NUM_FLAGS):
-                raise SdpFormatError("line %d: index out of range for a %dx%d "
-                                     "block" % (ln, NUM_FLAGS, NUM_FLAGS))
-            cells[blkno - 1, i - 1, j - 1] = val
-        elif blkno != NUM_BLOCKS:
-            raise SdpFormatError("line %d: block number %d out of range"
-                                 % (ln, blkno))
-        elif i != j or not 1 <= i <= NUM_MODELS:
-            raise SdpFormatError("line %d: slack block is diagonal of "
-                                 "size %d" % (ln, NUM_MODELS))
+    with open(path, encoding="utf-8") as fh:
+        for ln, text in _text_lines(fh, SdpFormatError):
+            try:
+                toks = text.split()
+                if dual is None:
+                    dual = [_finite(t) for t in toks]
+                    if len(dual) != NUM_MODELS:
+                        raise ValueError("dual vector has %d entries, "
+                                         "expected %d"
+                                         % (len(dual), NUM_MODELS))
+                    continue
+                if len(toks) != 5:
+                    raise ValueError("expected 'matno blkno i j value'")
+                matno, blkno, i, j = map(_parse_integer, toks[:4])
+                val = _finite(toks[4])
+                if matno == 1:
+                    continue
+                if matno != 2:
+                    raise ValueError("unknown matrix number %d" % matno)
+                seen_matrix = True
+                if 1 <= blkno <= 10:
+                    if not (1 <= i <= NUM_FLAGS and 1 <= j <= NUM_FLAGS):
+                        raise ValueError("index out of range for a %dx%d "
+                                         "block" % (NUM_FLAGS, NUM_FLAGS))
+                    cells[blkno - 1, i - 1, j - 1] = val
+                elif blkno != NUM_BLOCKS:
+                    raise ValueError("block number %d out of range" % blkno)
+                elif i != j or not 1 <= i <= NUM_MODELS:
+                    raise ValueError("slack block is diagonal of size %d"
+                                     % NUM_MODELS)
+            except ValueError as exc:
+                raise SdpFormatError("line %d: %s" % (ln, exc)) from exc
+    if dual is None:
+        raise SdpFormatError("empty solution file")
     if not seen_matrix:
         raise SdpFormatError("no matrix entries (matno 2) in solution file")
     blocks = [[[0.0] * NUM_FLAGS for _ in range(NUM_FLAGS)]

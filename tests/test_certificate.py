@@ -155,8 +155,13 @@ def test_loader_mutation_fuzz_raises_only_certificate_error(shipped_cert,
                                                             mutant):
     lines = serialize_certificate(shipped_cert).splitlines()
     rng = random.Random(2012)
-    for case in range(100):
-        text = mutant(lines, rng)
+    cases = [mutant(lines, rng) for _ in range(100)]
+    # a line over the length cap after block 10
+    cases.append("\n".join(lines + ["0" * (1 << 18)]) + "\n")
+    with pytest.raises(CertificateError, match="line %d is longer than"
+                       % (len(lines) + 1)):
+        load_certificate(cases[-1])
+    for case, text in enumerate(cases):
         try:
             load_certificate(text)
         except CertificateError:

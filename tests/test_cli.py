@@ -195,25 +195,57 @@ def test_count_refuses_a_graph_file_above_the_bound_at_its_header(
         GRAPH_MAX_N, GRAPH_MAX_N + 1)
 
 
-def test_count_refuses_a_long_line_without_holding_it(tmp_path):
-    # a 20 MB first line is refused after its first 64 KiB; each file runs
-    # in a fresh process, which prints its own peak RSS (KB) at exit
-    script = ("import atexit, resource, sys; atexit.register(lambda: print("
-              "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)); "
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the process's own peak RSS (VmHWM)")
+@pytest.mark.parametrize("command", [["count"], ["verify", "--cert"],
+                                     ["sdp-round"]],
+                         ids=["count", "verify", "sdp-round"])
+def test_a_long_first_line_is_refused_without_holding_it(tmp_path, command):
+    # a 20 MB first line is refused after its first 256 KiB; each file runs
+    # in a fresh process, which prints its own peak RSS (VmHWM, kB) at exit.
+    # ru_maxrss would not do: Linux carries the parent's peak into it
+    # across fork and exec
+    script = ("import atexit, re, sys; atexit.register(lambda: print("
+              "re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status')"
+              ".read())[1])); "
               "from triflag.cli import main; sys.exit(main(sys.argv[1:]))")
     long_line = tmp_path / "long.txt"
     long_line.write_text("%d%s3\n" % (GRAPH_MAX_N + 1, " " * 20_000_000))
-    header = tmp_path / "header.txt"
-    header.write_text("%d 3\n" % (GRAPH_MAX_N + 1))
-    peak = {}
-    for path, error in ((long_line, "line 1 is longer than 65536 characters"),
-                        (header, "vertex count must be")):
-        proc = run_python("-c", script, "count", str(path))
+    one_line = tmp_path / "one.txt"
+    one_line.write_text("%d 3\n" % (GRAPH_MAX_N + 1))
+    peak, err = {}, {}
+    for path in (long_line, one_line):
+        proc = run_python("-c", script, *command, str(path))
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: " + error)
+        assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
-        peak[path] = int(proc.stdout)
-    assert peak[long_line] <= peak[header] + 2048
+        peak[path], err[path] = int(proc.stdout), proc.stderr
+    assert err[long_line] == ("error: line 1 is longer than 262144 "
+                              "characters\n")
+    assert peak[long_line] <= peak[one_line] + 2048
+
+
+def test_file_commands_name_their_encoding(tmp_path):
+    # under -X warn_default_encoding a text file opened without an
+    # encoding warns, and -W error turns the warning into a traceback
+    solution = tmp_path / "sol.txt"
+    solution.write_text(" ".join(["0"] * 792) + "\n2 1 1 1 1.0\n")
+    files = {name: str(tmp_path / name)
+             for name in ("models", "g", "problem", "cert", "report")}
+    commands = [["enumerate", "--n", "4", "--out", files["models"]],
+                ["extremal", "--n", "11", "--out", files["g"]],
+                ["count", files["g"]],
+                ["check-gn", files["g"]],
+                ["verify"],
+                ["sdp-export", "--out", files["problem"]],
+                ["sdp-round", str(solution), "--out", files["cert"]],
+                ["verify", "--cert", files["cert"], "--out", files["report"]]]
+    proc = run_python("-X", "warn_default_encoding",
+                      "-W", "error::EncodingWarning", "-c",
+                      "from triflag.cli import main; "
+                      "print([main(argv) for argv in %r])" % commands)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 1, 1]"
 
 
 def test_extremal_has_no_colour_count_option(capsys):

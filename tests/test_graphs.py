@@ -137,7 +137,7 @@ def test_pentagon_key_is_labelling_invariant():
 
 
 @pytest.mark.parametrize("n", [8, 9])
-def test_canonical_key_is_invariant_at_cached_and_rebuilt_index_sizes(n):
+def test_canonical_key_is_relabelling_invariant_at_eight_and_nine_vertices(n):
     G = random_graph(n, 3, n)
     key = canonical_key(G)
     assert canonical_key(shuffled(G, n)) == key
@@ -489,26 +489,27 @@ def test_parse_graph_refuses_a_file_at_its_header():
 
 
 def test_parse_graph_caps_the_length_of_a_file_line():
-    # "0 1", the padding and the newline: 65,536 characters pass, 65,537
-    # do not; a string is already in memory and is not capped
-    for pad, error in ((65_532, None), (65_533, "line 2 is longer than 65536")):
+    # "0 1", the padding and the newline: 262,144 characters pass, 262,145
+    # do not, in a string as in a file
+    for pad, error in ((262_140, None),
+                       (262_141, "line 2 is longer than 262144 characters")):
         text = "2 3\n0 1%s\n1 0\n" % (" " * pad)
-        assert parse_graph(text) == parse_graph("2 3\n0 1\n1 0\n")
-        if error is None:
-            assert parse_graph(io.StringIO(text)).n == 2
-        else:
-            with pytest.raises(ValueError, match=error):
-                parse_graph(io.StringIO(text))
+        for source in (text, io.StringIO(text)):
+            if error is None:
+                assert parse_graph(source) == parse_graph("2 3\n0 1\n1 0\n")
+            else:
+                with pytest.raises(ValueError, match=error):
+                    parse_graph(source)
 
 
 @pytest.mark.parametrize("token", ["\u0663", "\uff13", "1_0", "+3", "-1",
                                    "3.0", "0x3"])
 def test_parse_graph_takes_ascii_decimals_only(token):
     # int() alone would read Arabic-Indic and full-width digits, "1_0"
-    # and a sign
-    with pytest.raises(ValueError, match="not a decimal integer"):
+    # and a sign; the error names the line
+    with pytest.raises(ValueError, match="line 2: not a decimal integer"):
         parse_graph("2 3\n0 %s\n%s 0\n" % (token, token))
-    with pytest.raises(ValueError, match="not a decimal integer"):
+    with pytest.raises(ValueError, match="line 1: not a decimal integer"):
         parse_graph("2 %s\n0 1\n1 0\n" % token)
 
 

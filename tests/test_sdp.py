@@ -146,8 +146,14 @@ def test_parse_solution_mutation_fuzz_raises_only_sdp_format_error(tmp_path,
                            "1 1 1 1 7", "2 11 5 5 0.125"])
     lines = path.read_text().splitlines()
     rng = random.Random(2012)
-    for case in range(300):
-        path.write_text(mutant(lines, rng))
+    cases = [mutant(lines, rng) for _ in range(300)]
+    # a line over the length cap inside the file
+    cases.append("\n".join(lines[:2] + ["0" * (1 << 18)] + lines[2:]) + "\n")
+    path.write_text(cases[-1])
+    with pytest.raises(SdpFormatError, match="line 3 is longer than"):
+        parse_solution(path)
+    for case, text in enumerate(cases):
+        path.write_text(text)
         try:
             parse_solution(path)
         except SdpFormatError:
