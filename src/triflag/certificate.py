@@ -34,6 +34,7 @@ import numpy as np
 
 from .exact import (SymMatrix, _parse_integer, format_rational,
                     parse_rational, psd_check)
+from .extremal import build_gex
 from .flags import _colour_code, flag_from_vector, triangle_pair_counts
 from .graphs import (ColouredGraph, _subset_listings, bad_family,
                      _text_lines, canonical_key, canonical_keys_batch,
@@ -409,7 +410,6 @@ def report_text(report: VerificationReport) -> str:
 
 @cache           # the construction does not depend on a certificate
 def _gex_model_keys() -> frozenset:
-    from .extremal import build_gex
     return frozenset(subgraph_class_counts(build_gex(25), 5))
 
 

@@ -16,9 +16,10 @@ from . import __version__
 from . import certificate as cert_mod
 from . import sdp as sdp_mod
 from .exact import DEFAULT_MAX_DEN, format_rational
-from .graphs import (SizeLimitError, corollary_value,
-                     count_models_polya, enumerate_models, format_graph,
-                     goodman, mono_triangles, parse_graph)
+from .extremal import brute_min_mono, build_gex, is_member_gn
+from .graphs import (_open_text, corollary_value, count_models_polya,
+                     enumerate_models, format_graph, goodman, mono_triangles,
+                     parse_graph)
 
 
 def _sha256(path) -> str:
@@ -45,7 +46,7 @@ def _emit(lines, out_path=None):
 
 
 def _load_graph(path):
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         return parse_graph(fh)
 
 
@@ -67,7 +68,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.cert:
-        with open(args.cert, encoding="utf-8") as fh:
+        with _open_text(args.cert) as fh:
             cert = cert_mod.load_certificate(fh)
         lines = _stamp([args.cert])
     else:
@@ -83,7 +84,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    from .extremal import build_gex
     G = build_gex(args.n)
     tri = mono_triangles(G)["total"]
     formula = corollary_value(args.n)
@@ -96,12 +96,10 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_check_gn(args) -> int:
-    from .extremal import is_member_gn
     G = _load_graph(args.graph)
     member, witness = is_member_gn(G)
     if member:
-        sizes = sorted((len(c) for c in witness.partition.classes),
-                       reverse=True)
+        sizes = sorted(map(len, witness.partition.classes), reverse=True)
         print("member colour=%d classes=%s"
               % (witness.partition.colour, ",".join(map(str, sizes))))
         return 0
@@ -122,7 +120,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_brute(args) -> int:
-    from .extremal import brute_min_mono
     best, minimisers = brute_min_mono(args.n, args.k)
     line = "minimum=%d minimisers=%d" % (best, len(minimisers))
     ok = True
@@ -137,7 +134,6 @@ def cmd_brute(args) -> int:
 def cmd_goodman(args) -> int:
     formula = goodman(args.n)
     if args.n <= 7:
-        from .extremal import brute_min_mono
         brute, _ = brute_min_mono(args.n, 2)
         ok = brute == formula
         print("formula=%d brute=%d %s"
@@ -232,7 +228,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, SizeLimitError) as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -9,10 +9,10 @@ the colour of the base edge between their classes.
 Membership in the wider extremal family additionally allows recolouring a
 matching between any two classes with the clique colour, as long as no new
 monochromatic triangle appears.  `is_member_gn` decides membership exactly
-(up to EXACT_PARTITION_MAX_N vertices) by backtracking over the partitions
-of V into five cliques of one colour with the balanced class sizes.
-`brute_min_mono` finds the minimum number of monochromatic triangles over
-all colourings of a small K_n by exhaustive enumeration.
+for every admitted graph: it reads the classes off the triangles of the
+clique colour, with no search.  `brute_min_mono` finds the minimum number
+of monochromatic triangles over all colourings of a small K_n by
+exhaustive enumeration, within the bounds of `enumerate_models`.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .graphs import (ColouredGraph, SizeLimitError, _check_size,
-                     corollary_value, mono_triangles)
-
-EXACT_PARTITION_MAX_N = 25
+from .graphs import (ColouredGraph, _check_size, corollary_value,
+                     enumerate_models, mono_triangles)
 
 
 @dataclass(frozen=True)
@@ -87,43 +85,30 @@ def build_gex(n: int) -> ColouredGraph:
         for u in range(n) for v in range(u + 1, n)])
 
 
-def _sizes_feasible(classes, size_pool) -> bool:
-    """Can the current class sizes still grow into the target multiset?
-
-    With no more classes than targets and both lists sorted in decreasing
-    order, an embedding of classes into distinct targets exists iff the
-    i-th largest class fits under the i-th largest target.
-    """
-    current = sorted((len(c) for c in classes), reverse=True)
-    return all(c <= p for c, p in zip(current, size_pool))
-
-
-def _partitions_into_cliques(G: ColouredGraph, colour: int, sizes):
-    """Yield partitions of V(G) into cliques of `colour` whose size
-    multiset is exactly `sizes` (backtracking over vertices in order)."""
-    n = G.n
-    mat = G.matrix()
-    size_pool = sorted(sizes, reverse=True)
-    classes: list[list[int]] = []
-
-    def place(v: int):
-        if v == n:
-            if sorted((len(c) for c in classes), reverse=True) == size_pool:
-                yield tuple(frozenset(c) for c in classes)
-            return
-        for cls in classes:
-            if all(mat[v][u] == colour for u in cls):
-                cls.append(v)
-                if _sizes_feasible(classes, size_pool):
-                    yield from place(v + 1)
-                cls.pop()
-        if len(classes) < len(size_pool):
-            classes.append([v])
-            if _sizes_feasible(classes, size_pool):
-                yield from place(v + 1)
-            classes.pop()
-
-    yield from place(0)
+def _candidate_classes(mat, colour: int, sizes):
+    """Candidate classes of the given sizes, in order of their first
+    vertex, not yet checked to be disjoint cliques: a class of three or
+    more vertices is a vertex with its neighbours across `colour`-edges in
+    a `colour`-triangle; the vertices on no such edge are paired along
+    `colour`-edges in every way."""
+    adj = [sum(1 << u for u, c in enumerate(row) if c == colour)
+           for row in mat]
+    mates = [frozenset(u for u, c in enumerate(row)
+                       if c == colour and adj[v] & adj[u])
+             for v, row in enumerate(mat)]
+    big = {m | {v} for v, m in enumerate(mates) if m}
+    rest = [v for v, m in enumerate(mates) if not m]
+    small = [s for s in sizes if s < 3]
+    if (sorted(map(len, big), reverse=True) + small != sizes
+            or len(rest) != sum(small)):
+        return
+    edges = [(u, v) for u, v in combinations(rest, 2) if mat[u][v] == colour]
+    for pairs in combinations(edges, small.count(2)):
+        paired = {v for e in pairs for v in e}
+        if len(paired) == 2 * len(pairs):
+            yield sorted([*big, *map(frozenset, pairs),
+                          *(frozenset([v]) for v in rest if v not in paired)],
+                         key=min)
 
 
 def is_member_gn(G: ColouredGraph):
@@ -131,34 +116,38 @@ def is_member_gn(G: ColouredGraph):
     partition in some colour c, cross pairs coloured in a single base colour
     except for a c-matching, base pattern isomorphic to the pentagon
     colouring, and no monochromatic triangles beyond the c-triangles inside
-    classes.  Returns (bool, witness or None)."""
+    classes.  Returns (bool, witness or None).
+
+    Balanced classes hold corollary_value(n) c-triangles, all that the
+    graph may have, so no c-triangle of a member crosses two classes, and
+    a class of three or more vertices is any of its vertices with its
+    neighbours across c-edges in a c-triangle.  The at most ten vertices
+    left over (none for n >= 15) form the classes of one or two.
+    """
     n = G.n
     if n < 5:
         return False, None
     if G.k != 3:
         raise ValueError("membership test is defined for k = 3")
-    if n > EXACT_PARTITION_MAX_N:
-        raise SizeLimitError("membership test limited to n <= %d"
-                             % EXACT_PARTITION_MAX_N)
-    target_sizes = tuple(sorted(class_sizes(n, 5), reverse=True))
     per = mono_triangles(G)
     if per["total"] != corollary_value(n):
         return False, None
+    mat = G.matrix()
     for colour in range(1, 4):
         # all monochromatic triangles must be in the clique colour
-        if any(per[c] for c in range(1, 4) if c != colour):
+        if per[colour] != per["total"]:
             continue
-        for classes in _partitions_into_cliques(G, colour, target_sizes):
-            witness = _check_cross_structure(G, classes, colour)
-            if witness is not None:
-                return True, witness
+        for classes in _candidate_classes(mat, colour, class_sizes(n, 5)):
+            if ClassPartition(tuple(classes), colour).validate(G):
+                witness = _check_cross_structure(mat, classes, colour)
+                if witness is not None:
+                    return True, witness
     return False, None
 
 
-def _check_cross_structure(G: ColouredGraph, classes, colour):
-    """Validate cross-pair colours for a candidate partition; returns a
-    MembershipWitness or None."""
-    mat = G.matrix()
+def _check_cross_structure(mat, classes, colour):
+    """Validate cross-pair colours for a candidate partition, given the
+    colour matrix; returns a MembershipWitness or None."""
     npairs = list(combinations(range(5), 2))
     base_colour: dict = {}
     matchings: dict = {}
@@ -197,11 +186,8 @@ def _check_cross_structure(G: ColouredGraph, classes, colour):
 def brute_min_mono(n: int, k: int):
     """Exact minimum number of monochromatic triangles over all
     k-colourings of K_n, with the complete list of minimiser canonical
-    keys.  Exhaustive up to isomorphism; limited to (k=2, n<=7) and
-    (k=3, n<=6)."""
-    from .graphs import enumerate_models
-    if not ((k == 2 and n <= 7) or (k == 3 and n <= 6)):
-        raise SizeLimitError("brute force limited to k=2 n<=7 / k=3 n<=6")
+    keys.  Exhaustive up to isomorphism, within enumerate_models's bounds:
+    (7, 2), (6, 3) and (5, 4) are admitted, (8, 2), (7, 3) and (6, 4) not."""
     best = None
     minimisers = []
     for M in enumerate_models(n, k):

@@ -32,7 +32,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, count, islice, product
 
 import numpy as np
 
@@ -42,6 +42,8 @@ _DECIMAL = re.compile(r"[0-9]+")
 # chars per line of any text input, its newline included: a certificate's
 # Q row of 27 rationals at int()'s 4,300-digit limit takes 232,280
 _MAX_LINE = 1 << 18
+# what a file opened by _open_text reads a byte 0x80-0xff that is not UTF-8 as
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 _BATCH_BYTES = 1 << 20  # bytes of relabelled listings per gather (min. one row)
 # relabelled listings gathered by one canonicalisation, in bytes: those of
 # enumerate_models(6, 3), 192,456 * 6! * 15 (about 4 s of CPU)
@@ -467,17 +469,32 @@ def format_graph(G: ColouredGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _open_text(path):
+    """Open a file for _text_lines, which names the line of a bad byte."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
 def _text_lines(source, error=ValueError):
     """The numbered, stripped, non-blank lines of a string or an open text
-    file, read one line at a time.  A line may hold at most _MAX_LINE
-    characters, its newline included; a longer one raises `error`."""
+    file, read one line at a time.  A line longer than _MAX_LINE
+    characters, its newline included, or a byte that is not UTF-8 raises
+    `error`."""
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)
-    for number, line in enumerate(
-            iter(lambda: source.readline(_MAX_LINE + 1), ""), 1):
+    for number in count(1):
+        try:
+            line = source.readline(_MAX_LINE + 1)
+        except UnicodeDecodeError as exc:   # a strict decoder reads ahead
+            raise error("line %d: byte 0x%02x at or after it is not UTF-8"
+                        % (number, exc.object[exc.start])) from exc
+        if not line:
+            return
         if len(line) > _MAX_LINE:
             raise error("line %d is longer than %d characters"
                         % (number, _MAX_LINE))
+        if not line.isascii() and (bad := _NOT_UTF8.search(line)):
+            raise error("line %d: byte 0x%02x is not UTF-8"
+                        % (number, ord(bad[0]) - 0xdc00))
         line = line.strip()
         if line:
             yield number, line

@@ -32,7 +32,7 @@ from .certificate import (NUM_FLAGS, Certificate, CertificateBlock,
                           model_data)
 from .exact import (DEFAULT_MAX_DEN, SymMatrix, _parse_integer,
                     rational_reconstruct)
-from .graphs import _text_lines
+from .graphs import _open_text, _text_lines
 
 NUM_MODELS = 792
 NUM_BLOCKS = 11          # ten flag blocks + one diagonal slack block
@@ -107,7 +107,7 @@ def parse_solution(path) -> list:
     cells: dict = {}
     dual = None
     seen_matrix = False
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for ln, text in _text_lines(fh, SdpFormatError):
             try:
                 toks = text.split()

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from triflag import certificate as cert_mod
+from triflag.extremal import build_gex, class_sizes
+from triflag.graphs import ColouredGraph
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +51,49 @@ def _mutant(lines, rng):
 def mutant():
     """The seeded mutation step of the parser fuzz tests."""
     return _mutant
+
+
+def _write_with_bad_byte(path, lines, rng):
+    """Write `lines` to `path` with a byte that is not UTF-8 inserted at a
+    seeded position; return the number of that byte's line."""
+    data = ("\n".join(lines) + "\n").encode()
+    at = rng.randrange(len(data))
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    return data.count(b"\n", 0, at) + 1
+
+
+@pytest.fixture
+def write_with_bad_byte():
+    """The byte-level case of the parser fuzz tests."""
+    return _write_with_bad_byte
+
+
+def _shuffled_member(n, rng, pairs):
+    """G_ex(n) with recoloured matchings across `pairs` class pairs,
+    relabelled and colour-permuted.  A member unless the matchings close
+    a cross triangle of the clique colour."""
+    rows = build_gex(n).matrix()
+    sizes = class_sizes(n, 5)
+    classes = [list(range(sum(sizes[:i]), sum(sizes[:i + 1])))
+               for i in range(5)]
+    for i, j in rng.sample([(i, j) for i in range(5) for j in range(i)],
+                           pairs):
+        size = rng.randint(1, min(len(classes[i]), len(classes[j])))
+        for u, v in zip(rng.sample(classes[i], size),
+                        rng.sample(classes[j], size)):
+            rows[u][v] = rows[v][u] = 1
+    colours = [0] + rng.sample([1, 2, 3], 3)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return ColouredGraph.from_matrix(
+        [[colours[rows[perm[a]][perm[b]]] for b in range(n)]
+         for a in range(n)])
+
+
+@pytest.fixture
+def shuffled_member():
+    """A seeded family member to test membership on."""
+    return _shuffled_member
 
 
 def _read_problem(path):

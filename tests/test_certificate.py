@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -16,8 +17,8 @@ from triflag.certificate import (Certificate, CertificateBlock,
                                  serialize_certificate, verify)
 from triflag.exact import SymMatrix
 from triflag.flags import avg_coefficient, flag_from_vector
-from triflag.graphs import (ColouredGraph, bad_family, canonical_key,
-                            enumerate_models, mono_triangles,
+from triflag.graphs import (ColouredGraph, _open_text, bad_family,
+                            canonical_key, enumerate_models, mono_triangles,
                             subgraph_class_counts)
 
 SHIPPED_SHA256 = \
@@ -151,11 +152,25 @@ def test_loader_rejects_bad_header():
         load_certificate("FLAGCERT 2\nBOUND 1/25\n")
 
 
-def test_loader_mutation_fuzz_raises_only_certificate_error(shipped_cert,
-                                                            mutant):
+def test_loader_mutation_fuzz_raises_only_certificate_error(
+        shipped_cert, mutant, write_with_bad_byte, tmp_path):
     lines = serialize_certificate(shipped_cert).splitlines()
     rng = random.Random(2012)
     cases = [mutant(lines, rng) for _ in range(100)]
+    # a byte that is not UTF-8: a file opened as the command line opens it
+    # names the byte's line, a strictly decoding one names a line before it
+    path = tmp_path / "cert"
+    number = write_with_bad_byte(path, lines, rng)
+    with _open_text(path) as fh, pytest.raises(
+            CertificateError, match="^line %d: byte 0xff is not UTF-8$"
+            % number):
+        load_certificate(fh)
+    with open(path, encoding="utf-8") as fh, pytest.raises(
+            CertificateError) as strict:
+        load_certificate(fh)
+    named = re.fullmatch(r"line (\d+): byte 0xff at or after it is not "
+                         r"UTF-8", str(strict.value))
+    assert named and int(named[1]) <= number
     # a line over the length cap after block 10
     cases.append("\n".join(lines + ["0" * (1 << 18)]) + "\n")
     with pytest.raises(CertificateError, match="line %d is longer than"

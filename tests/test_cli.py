@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -225,6 +226,31 @@ def test_a_long_first_line_is_refused_without_holding_it(tmp_path, command):
     assert peak[long_line] <= peak[one_line] + 2048
 
 
+@pytest.mark.parametrize("command", [["count"], ["check-gn"],
+                                     ["verify", "--cert"], ["sdp-round"]],
+                         ids=["count", "check-gn", "verify", "sdp-round"])
+def test_a_byte_that_is_not_utf8_is_refused_naming_its_line(tmp_path, capsys,
+                                                            command):
+    # the byte lies well past the first 8 KiB, which a decoding file would
+    # read ahead of the line it returns
+    if command[0] == "verify":
+        lines = shipped_certificate_text().splitlines()
+    elif command[0] == "sdp-round":
+        lines = [" ".join(["0"] * 792)] + ["2 1 1 1 1.0"] * 2000
+    else:
+        lines = format_graph(build_gex(100)).splitlines()
+    number = len(lines) - 3
+    data = [line.encode() for line in lines]
+    data[number - 1] = data[number - 1][:3] + b"\xff" + data[number - 1][3:]
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\n".join(data) + b"\n")
+    assert b"\n".join(data).index(b"\xff") > 2 * 8192
+    code, stdout, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: line %d: byte 0xff is not UTF-8\n" % number
+
+
 def test_file_commands_name_their_encoding(tmp_path):
     # under -X warn_default_encoding a text file opened without an
     # encoding warns, and -W error turns the warning into a traceback
@@ -335,6 +361,16 @@ def test_check_gn_rejects_non_member(tmp_path, capsys):
     code, stdout, _ = run(capsys, "check-gn", str(path))
     assert code == 1
     assert "not a member" in stdout
+
+
+def test_check_gn_takes_the_largest_admitted_graph(tmp_path, capsys,
+                                                  shuffled_member):
+    G = shuffled_member(GRAPH_MAX_N, random.Random(400), 4)
+    path = tmp_path / "member400.txt"
+    path.write_text(format_graph(G))
+    code, stdout, _ = run(capsys, "check-gn", str(path))
+    assert code == 0
+    assert stdout == "member colour=3 classes=80,80,80,80,80\n"
 
 
 def test_goodman(capsys):

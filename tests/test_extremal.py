@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from triflag.extremal import (brute_min_mono, build_gex, class_sizes,
-                              is_member_gn, pentagon_base)
+from triflag.extremal import (_check_cross_structure, brute_min_mono,
+                              build_gex, class_sizes, is_member_gn,
+                              pentagon_base)
 from triflag.graphs import (ColouredGraph, SizeLimitError, bad_family,
                             canonical_key, corollary_value, goodman,
                             is_isomorphic, mono_triangles,
@@ -125,7 +128,124 @@ def test_brute_min_three_colours_small():
 
 
 def test_brute_min_limits():
-    with pytest.raises(SizeLimitError):
-        brute_min_mono(8, 2)
-    with pytest.raises(SizeLimitError):
-        brute_min_mono(7, 3)
+    # the bounds of enumerate_models: (5, 4) has 10,688 models
+    best, minimisers = brute_min_mono(5, 4)
+    assert best == 0 and minimisers
+    for n, k in [(8, 2), (7, 3), (6, 4)]:
+        with pytest.raises(SizeLimitError):
+            brute_min_mono(n, k)
+
+
+# ---------------------------------------------------------------------------
+# membership against a search over every clique partition
+
+
+def _sizes_feasible(classes, size_pool) -> bool:
+    """Can the current class sizes still grow into the target multiset?
+
+    With no more classes than targets and both lists sorted in decreasing
+    order, an embedding of classes into distinct targets exists iff the
+    i-th largest class fits under the i-th largest target.
+    """
+    current = sorted((len(c) for c in classes), reverse=True)
+    return all(c <= p for c, p in zip(current, size_pool))
+
+
+def _partitions_into_cliques(G, colour, sizes):
+    """Yield partitions of V(G) into cliques of `colour` whose size
+    multiset is exactly `sizes` (backtracking over vertices in order)."""
+    n = G.n
+    mat = G.matrix()
+    size_pool = sorted(sizes, reverse=True)
+    classes = []
+
+    def place(v):
+        if v == n:
+            if sorted((len(c) for c in classes), reverse=True) == size_pool:
+                yield tuple(frozenset(c) for c in classes)
+            return
+        for cls in classes:
+            if all(mat[v][u] == colour for u in cls):
+                cls.append(v)
+                if _sizes_feasible(classes, size_pool):
+                    yield from place(v + 1)
+                cls.pop()
+        if len(classes) < len(size_pool):
+            classes.append([v])
+            if _sizes_feasible(classes, size_pool):
+                yield from place(v + 1)
+            classes.pop()
+
+    yield from place(0)
+
+
+def oracle_membership(G):
+    """(verdict, clique colour or None) by backtracking over every
+    partition into cliques of one colour with the balanced sizes."""
+    per = mono_triangles(G)
+    if per["total"] != corollary_value(G.n):
+        return False, None
+    for colour in range(1, 4):
+        if any(per[c] for c in range(1, 4) if c != colour):
+            continue
+        for classes in _partitions_into_cliques(G, colour, class_sizes(G.n, 5)):
+            if _check_cross_structure(G.matrix(), classes, colour):
+                return True, colour
+    return False, None
+
+
+def one_edge_changed(G, rng):
+    ent = list(G.entries)
+    t = rng.randrange(len(ent))
+    ent[t] = rng.choice([c for c in (1, 2, 3) if c != ent[t]])
+    return ColouredGraph(G.n, 3, ent)
+
+
+def count_passing_colouring(n, rng):
+    """A random colouring driven by single-edge changes to the
+    construction's triangle count, all of one colour: it passes the
+    count test, so membership rests on the classes and the cross pairs."""
+    def cost(ent):
+        per = mono_triangles(ColouredGraph(n, 3, ent))
+        rest = sorted(per[c] for c in (1, 2, 3))
+        return abs(per["total"] - corollary_value(n)) + rest[0] + rest[1]
+
+    ent = [rng.randint(1, 3) for _ in range(n * (n - 1) // 2)]
+    now = cost(ent)
+    while now:
+        t = rng.randrange(len(ent))
+        old, ent[t] = ent[t], rng.randint(1, 3)
+        new = cost(ent)
+        if new <= now:
+            now = new
+        else:
+            ent[t] = old
+    return ColouredGraph(n, 3, ent)
+
+
+def membership_cases(shuffled_member):
+    rng = random.Random(2012)
+    for n in range(5, 26):
+        for pairs in (0, 1, 1, 2, 2, 3, 3, 4, 4, 4):
+            G = shuffled_member(n, rng, pairs)
+            yield G
+            yield one_edge_changed(G, rng)
+    for n in range(5, 13):
+        for _ in range(12):
+            yield count_passing_colouring(n, rng)
+
+
+def test_membership_agrees_with_the_clique_partition_search(shuffled_member):
+    members = counted = 0
+    for G in membership_cases(shuffled_member):
+        member, witness = is_member_gn(G)
+        colour = witness.partition.colour if member else None
+        assert (member, colour) == oracle_membership(G)
+        if member:
+            assert witness.partition.validate(G)
+            assert sorted(map(len, witness.partition.classes),
+                          reverse=True) == class_sizes(G.n, 5)
+        members += member
+        counted += mono_triangles(G)["total"] == corollary_value(G.n)
+    # members, and non-members that reach the classes and the cross pairs
+    assert members > 250 and counted - members > 50

@@ -15,7 +15,7 @@ from triflag.extremal import build_gex
 from triflag.flags import Flag
 from triflag.graphs import (CANON_MAX_N, GRAPH_MAX_N, ColouredGraph,
                             SizeLimitError, _check_enumeration_limit,
-                            _pair_index, _pair_table,
+                            _open_text, _pair_index, _pair_table,
                             _relabelling_index, bad_family, canonical_key,
                             canonical_keys_batch,
                             corollary_value, count_models_polya, density,
@@ -513,9 +513,16 @@ def test_parse_graph_takes_ascii_decimals_only(token):
         parse_graph("2 %s\n0 1\n1 0\n" % token)
 
 
-def test_parse_graph_mutation_fuzz_raises_only_value_error(mutant):
+def test_parse_graph_mutation_fuzz_raises_only_value_error(
+        mutant, write_with_bad_byte, tmp_path):
     lines = format_graph(build_gex(7)).splitlines()
     rng = random.Random(2012)
+    # a byte that is not UTF-8
+    path = tmp_path / "g.txt"
+    number = write_with_bad_byte(path, lines, rng)
+    with _open_text(path) as fh, pytest.raises(
+            ValueError, match="^line %d: byte 0xff is not UTF-8$" % number):
+        parse_graph(fh)
     for case in range(300):
         text = mutant(lines, rng)
         try:

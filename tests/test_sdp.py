@@ -139,14 +139,19 @@ def test_parse_solution_takes_ascii_integers_only(tmp_path, entry):
         parse_solution(path)
 
 
-def test_parse_solution_mutation_fuzz_raises_only_sdp_format_error(tmp_path,
-                                                                    mutant):
+def test_parse_solution_mutation_fuzz_raises_only_sdp_format_error(
+        tmp_path, mutant, write_with_bad_byte):
     path = tmp_path / "sol"
     _write_solution(path, ["2 1 1 1 0.5", "2 1 1 2 -0.25", "2 10 27 3 1e-3",
                            "1 1 1 1 7", "2 11 5 5 0.125"])
     lines = path.read_text().splitlines()
     rng = random.Random(2012)
     cases = [mutant(lines, rng) for _ in range(300)]
+    # a byte that is not UTF-8
+    number = write_with_bad_byte(path, lines, rng)
+    with pytest.raises(SdpFormatError, match="^line %d: byte 0xff is not "
+                       "UTF-8$" % number):
+        parse_solution(path)
     # a line over the length cap inside the file
     cases.append("\n".join(lines[:2] + ["0" * (1 << 18)] + lines[2:]) + "\n")
     path.write_text(cases[-1])
