@@ -36,9 +36,9 @@ from .exact import (SymMatrix, _parse_integer, format_rational,
                     parse_rational, psd_check)
 from .extremal import build_gex
 from .flags import _colour_code, flag_from_vector, triangle_pair_counts
-from .graphs import (ColouredGraph, _subset_listings, bad_family,
-                     _text_lines, canonical_key, canonical_keys_batch,
-                     enumerate_models, subgraph_class_counts)
+from .graphs import (ColouredGraph, _model_keys, _subset_classes, bad_family,
+                     _text_lines, canonical_key, enumerate_models,
+                     subgraph_class_counts)
 
 NUM_FLAGS = 27
 
@@ -281,10 +281,11 @@ class ModelData:
         self.row = {key: t for t, key in enumerate(self.keys)}
         flats = np.frombuffer(b"".join(self.keys),
                               dtype=np.uint8).reshape(-1, 10)
-        four = canonical_keys_batch(_subset_listings(flats, 5, 4), 4)
+        four = _model_keys(4, 3)      # indexed by the class rows below
+        contained = [{four[r] for r in rows}
+                     for rows in _subset_classes(flats, 5, 4, 3).tolist()]
         bad_keys = [H.entries for H in bad_family()]
-        self.bad = {key: tuple(hk for hk in bad_keys
-                               if hk in four[5 * t:5 * t + 5])
+        self.bad = {key: tuple(hk for hk in bad_keys if hk in contained[t])
                     for t, key in enumerate(self.keys)}
         self.cells, self.cell_counts, self.valid = triangle_pair_counts(flats)
         mono = self.valid[[_colour_code((c,) * 3) for c in (1, 2, 3)]]

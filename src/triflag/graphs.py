@@ -20,9 +20,24 @@ since every vertex of a balanced blow-up has the same profile.
 Isomorphism testing does not canonicalise: it is a search with
 colour-profile candidates and forward checking, exact for every n.
 
-Listing batches are built by numpy and deduplicated as the same byte
-strings: one gather lists all l-subsets of a batch of graphs, and
-enumeration extends every model by all colourings of a new vertex's edges.
+Listing batches are built by numpy: one gather lists all l-subsets of a
+batch of graphs, and enumeration extends every model by all colourings of a
+new vertex's edges and deduplicates the keys as byte strings.
+
+Subgraph classes are read off a class table where one fits.  An l-vertex
+subset has k^m listings, m = l(l-1)/2, and each is a relabelling of exactly
+one model.  For k^m <= _TABLE_MAX = 2^16 (l = 2 with k <= 255, 3 with
+k <= 40, 4 with k <= 6, 5 with k <= 3, 6 with k = 2, and every admitted l
+with k = 1), one table per (l, k), built on first use by writing the l!
+relabelled listings of every model, maps the base-k code of a listing to
+its model's row.
+Counting the classes of a graph's l-subsets is then their codes, one lookup
+and a `bincount`: no listing is canonicalised.  At l = 5 with 3 colours a
+call takes about 0.3 ms of CPU at n = 10, 2-3 ms at n = 25 and 50-60 ms at
+n = 40 (2-core machine, Python 3.11), where canonicalising took 0.4-1.3 ms,
+30-115 ms and 0.3-0.56 s; the first call builds the table in about 0.02 s.
+Other (l, k) canonicalise each distinct subset listing once.  Monochromatic triangles are counted as
+trace(A_c^3) / 6 over the 0/1 adjacency matrix A_c of each colour c.
 """
 
 from __future__ import annotations
@@ -32,7 +47,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, count, islice, product
+from itertools import combinations, count, islice, product
 
 import numpy as np
 
@@ -50,6 +65,9 @@ _BATCH_BYTES = 1 << 20  # bytes of relabelled listings per gather (min. one row)
 _MAX_GATHER = 2_078_524_800
 _MAX_CANDIDATES = 192_456  # extension batch of enumerate_models(6, 3)
 _MAX_SUBSETS = 658_008     # C(40, 5): 5-subset counts of 40 vertices
+# listings k^m of an l-vertex subset, m = l(l-1)/2, up to which subgraph
+# classes are read off a class table instead of canonicalised
+_TABLE_MAX = 1 << 16
 
 
 class SizeLimitError(ValueError):
@@ -58,7 +76,7 @@ class SizeLimitError(ValueError):
 
 def _check_size(n: int, k: int):
     # colours are stored one byte each, in listings and canonical keys;
-    # counting monochromatic triangles loops over all C(n, 3) triples
+    # parsing, `matrix` and membership loop over the n^2 pairs in Python
     if not 1 <= k <= 255:
         raise (SizeLimitError if k > 255 else ValueError)(
             "colour count must be 1 <= k <= 255, got %d" % k)
@@ -352,24 +370,94 @@ def count_models_polya(l: int, k: int) -> int:
 # densities and triangle counts
 
 
+def _subsets(n: int, l: int) -> list:
+    """All l-subsets of range(n) in `combinations` order, as l int32 arrays
+    of length C(n, l): array s holds the s-th smallest vertex of each
+    subset.  Every subset of s vertices, in order, is extended by each
+    larger vertex that leaves room for the rest."""
+    rows = []
+    for s in range(l):
+        low = rows[-1] + np.int32(1) if s else np.zeros(1, np.int32)
+        reps = np.int32(n - l + s + 1) - low   # choices for vertex s
+        ends = np.cumsum(reps, dtype=np.int32)
+        new = (np.arange(ends[-1], dtype=np.int32)
+               + np.repeat(low - (ends - reps), reps))
+        rows = [np.repeat(row, reps) for row in rows] + [new]
+    return rows
+
+
+def _subset_pairs(flats: np.ndarray, n: int, l: int):
+    """Yield, pair by pair in listing order, that pair's byte in every
+    l-subset of each row of a (g, m) uint8 batch of n-vertex listings (of
+    colours, or of any per-pair values): (g, C(n, l)) arrays, subsets in
+    `combinations` order.  One pair at a time, so no (C(n, l), m) index is
+    held."""
+    # square[:, a * n + b]: the byte of pair {a, b} (of pair 0 for a == b)
+    square = np.take(flats, _pair_table(n).ravel(), 1)
+    subsets = _subsets(n, l)
+    for i in range(l):
+        row = subsets[i] * np.int32(n)
+        for j in range(i + 1, l):
+            yield np.take(square, row + subsets[j], 1)
+
+
 def _subset_listings(flats: np.ndarray, n: int, l: int) -> np.ndarray:
     """The listings of all l-subsets of each row of a (g, m) uint8 batch of
     n-vertex listings: a (g * C(n, l), l(l-1)/2) array, row by row and in
     `combinations` order within a row."""
-    pos = _pair_table(n)
-    subsets = np.fromiter(chain.from_iterable(combinations(range(n), l)),
-                          np.int32, math.comb(n, l) * l).reshape(-1, l)
-    pairs = list(combinations(range(l), 2))
-    # one pair column at a time: numpy casts an index array to intp, and a
-    # whole (C(n, l), m) index tripled the peak memory of this gather
-    out = np.empty((len(flats), len(subsets), len(pairs)), dtype=np.uint8)
-    for t, (i, j) in enumerate(pairs):
-        out[:, :, t] = np.take(flats, pos[subsets[:, i], subsets[:, j]], 1)
-    return out.reshape(-1, len(pairs))
+    m = l * (l - 1) // 2
+    out = np.empty((len(flats), math.comb(n, l), m), dtype=np.uint8)
+    for t, pair in enumerate(_subset_pairs(flats, n, l)):
+        out[:, :, t] = pair
+    return out.reshape(-1, m)
+
+
+def _listing_codes(digits, k: int, shape) -> np.ndarray:
+    """int32 base-k codes of listings given one pair at a time: `digits`
+    yields, pair by pair in listing order, the colours minus 1 of that
+    pair, as arrays of `shape`.  The first pair is the most significant
+    digit; codes are below k^m <= _TABLE_MAX."""
+    codes = np.zeros(shape, dtype=np.int32)
+    for digit in digits:
+        codes *= np.int32(k)
+        codes += digit
+    return codes
+
+
+@lru_cache(maxsize=64)
+def _class_table(l: int, k: int) -> np.ndarray:
+    """Read-only (k^m,) int32 table, m = l(l-1)/2, for k^m <= _TABLE_MAX:
+    entry `code` is the row in `_model_keys(l, k)` of the class of the
+    listing with that base-k code (see `_listing_codes`).  Every listing is
+    a relabelling of exactly one model, so writing each model's l!
+    relabelled listings fills the table without canonicalising any."""
+    keys = _model_keys(l, k)
+    digits = (np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), -1)
+              - np.uint8(1))
+    idx = _relabelling_index(l)
+    codes = _listing_codes((digits[:, col] for col in idx.T), k,
+                           (len(keys), len(idx)))
+    table = np.full(k ** (l * (l - 1) // 2), -1, dtype=np.int32)
+    table[codes] = np.arange(len(keys), dtype=np.int32)[:, None]
+    if table.min() < 0:
+        raise RuntimeError("class table (%d, %d) misses a listing" % (l, k))
+    table.flags.writeable = False
+    return table
+
+
+def _subset_classes(flats: np.ndarray, n: int, l: int, k: int) -> np.ndarray:
+    """The classes of all l-subsets of each row of a (g, m) uint8 batch of
+    n-vertex k-colour listings, as rows of `_model_keys(l, k)`: a
+    (g, C(n, l)) int32 array in `combinations` order within a row.  Needs
+    2 <= l and k^(l(l-1)/2) <= _TABLE_MAX."""
+    codes = _listing_codes(_subset_pairs(flats - np.uint8(1), n, l), k,
+                           (len(flats), math.comb(n, l)))
+    return _class_table(l, k)[codes]
 
 
 def subgraph_class_counts(G: ColouredGraph, l: int) -> dict:
-    """Map canonical key -> number of l-subsets of V(G) inducing that class."""
+    """Map canonical key -> number of l-subsets of V(G) inducing that
+    class, in key order."""
     n = G.n
     if l > n:
         raise ValueError("subgraph size exceeds |G|")
@@ -383,14 +471,20 @@ def subgraph_class_counts(G: ColouredGraph, l: int) -> dict:
     if l < 2:
         return {b"": subsets}
     m = l * (l - 1) // 2
-    listings = _subset_listings(np.frombuffer(G.entries, np.uint8)[None], n, l)
+    flats = np.frombuffer(G.entries, np.uint8)[None]
+    if G.k ** m <= _TABLE_MAX:
+        keys = _model_keys(l, G.k)
+        rows = _subset_classes(flats, n, l, G.k).ravel()
+        counts = np.bincount(rows, minlength=len(keys)).tolist()
+        return {key: c for key, c in zip(keys, counts) if c}
     # canonicalise each distinct listing once, then tally
-    raw, counts = np.unique(listings.view("S%d" % m), return_counts=True)
+    raw, counts = np.unique(_subset_listings(flats, n, l).view("S%d" % m),
+                            return_counts=True)
     keys = canonical_keys_batch(raw.view(np.uint8).reshape(-1, m), l)
     out: dict[bytes, int] = {}
     for key, count in zip(keys, counts.tolist()):
         out[key] = out.get(key, 0) + count
-    return out
+    return dict(sorted(out.items()))
 
 
 def density(H: ColouredGraph, G: ColouredGraph) -> Fraction:
@@ -403,12 +497,18 @@ def density(H: ColouredGraph, G: ColouredGraph) -> Fraction:
 
 
 def mono_triangles(G: ColouredGraph) -> dict:
-    """Exact monochromatic-triangle counts, per colour and total."""
+    """Exact monochromatic-triangle counts, per colour and total: for each
+    colour c, trace(A_c^3) / 6 with A_c the 0/1 adjacency matrix of c."""
     per = dict.fromkeys(range(1, G.k + 1), 0)
-    mat = G.matrix()
-    for a, b, c in combinations(range(G.n), 3):
-        if mat[a][b] == mat[a][c] == mat[b][c]:
-            per[mat[a][b]] += 1
+    if G.n >= 3:
+        colours = np.frombuffer(G.entries, np.uint8)[_pair_table(G.n)]
+        np.fill_diagonal(colours, 0)
+        for c in set(G.entries):
+            A = (colours == c).astype(np.float64)
+            # A is symmetric, so the sum is trace(A^3); exact in float64:
+            # every entry of A @ A is a count below n, and the sum is below
+            # n^3 < 2^53
+            per[c] = int((A @ A * A).sum()) // 6
     per["total"] = sum(per[c] for c in range(1, G.k + 1))
     return per
 

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triflag import graphs
 from triflag.extremal import build_gex
 from triflag.flags import Flag
 from triflag.graphs import (CANON_MAX_N, GRAPH_MAX_N, ColouredGraph,
                             SizeLimitError, _check_enumeration_limit,
-                            _open_text, _pair_index, _pair_table,
-                            _relabelling_index, bad_family, canonical_key,
+                            _class_table, _model_keys, _open_text,
+                            _pair_index, _pair_table, _relabelling_index,
+                            _subsets, bad_family, canonical_key,
                             canonical_keys_batch,
                             corollary_value, count_models_polya, density,
                             enumerate_models,
@@ -396,6 +398,26 @@ def test_mono_triangles_agree_with_family_density():
             sum(density(mono_kn(3, c), G) for c in (1, 2, 3))
 
 
+def mono_triangles_by_triples(G):
+    """Monochromatic-triangle counts by a loop over all C(n, 3) triples."""
+    per = dict.fromkeys(range(1, G.k + 1), 0)
+    mat = G.matrix()
+    for a, b, c in combinations(range(G.n), 3):
+        if mat[a][b] == mat[a][c] == mat[b][c]:
+            per[mat[a][b]] += 1
+    per["total"] = sum(per[c] for c in range(1, G.k + 1))
+    return per
+
+
+def test_mono_triangles_match_the_triple_loop():
+    rng = random.Random(11)
+    for n in list(range(8)) + [rng.randrange(8, 61) for _ in range(20)] + [60]:
+        G = random_graph(n, rng.randint(1, 4), rng.randrange(10**6))
+        assert mono_triangles(G) == mono_triangles_by_triples(G)
+    G = build_gex(400)
+    assert mono_triangles(G) == mono_triangles_by_triples(G)
+
+
 def test_goodman_values():
     assert goodman(5) == 0
     assert goodman(6) == 2
@@ -453,6 +475,73 @@ def test_subgraph_class_counts_matches_per_subset_oracle(G, data):
         key = canonical_key(G.induced(vs))
         want[key] = want.get(key, 0) + 1
     assert subgraph_class_counts(G, l) == want
+
+
+def test_subsets_match_combinations():
+    for n in range(13):
+        for l in range(n + 1):
+            want = list(combinations(range(n), l))
+            rows = _subsets(n, l)
+            assert len(rows) == l
+            assert all(row.dtype == np.int32 for row in rows)
+            if l:
+                assert list(zip(*(row.tolist() for row in rows))) == want
+
+
+def canonicalising_class_counts(G, l, monkeypatch):
+    # with no class table admitted, every (l, k) takes the np.unique +
+    # canonical_keys_batch path
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "_TABLE_MAX", 0)
+        return subgraph_class_counts(G, l)
+
+
+@pytest.mark.parametrize("n", [10, 17, 24, 31, 40])
+def test_class_table_path_matches_canonicalising_path(n, monkeypatch):
+    rng = random.Random(n)
+    cases = [(build_gex(n), l) for l in (2, 3, 4, 5)]
+    for k in (1, 2, 3):
+        G = random_graph(n, k, rng.randrange(10**6))
+        cases += [(G, l) for l in (2, 3, 4, 5)]
+        if k == 2 and math.comb(n, 6) <= graphs._MAX_SUBSETS:
+            cases.append((G, 6))
+    for G, l in cases:
+        got = subgraph_class_counts(G, l)
+        assert list(got) == sorted(got)
+        assert got == canonicalising_class_counts(G, l, monkeypatch)
+
+
+@pytest.mark.parametrize("n, k, l", [(30, 255, 2), (12, 40, 3), (12, 6, 4),
+                                     (12, 1, 9)])
+def test_class_table_path_at_the_edges_of_its_bound(n, k, l, monkeypatch):
+    G = random_graph(n, k, n + k + l)
+    assert G.k ** (l * (l - 1) // 2) <= graphs._TABLE_MAX
+    assert subgraph_class_counts(G, l) == \
+        canonicalising_class_counts(G, l, monkeypatch)
+
+
+def test_class_tables_within_the_bound_are_total():
+    admitted = [(l, k) for l in range(2, CANON_MAX_N + 1)
+                for k in range(1, 256)
+                if k ** (l * (l - 1) // 2) <= graphs._TABLE_MAX]
+    assert [(l, max(k for ll, k in admitted if ll == l))
+            for l in range(2, 7)] == [(2, 255), (3, 40), (4, 6), (5, 3),
+                                      (6, 2)]
+    for l, k in admitted:
+        _check_enumeration_limit(l, k)
+        table = _class_table(l, k)
+        assert len(table) == k ** (l * (l - 1) // 2)
+        assert table.min() == 0
+        assert table.max() == len(_model_keys(l, k)) - 1
+
+
+def test_class_table_refuses_to_build_with_a_missing_model(monkeypatch):
+    # the build checks its table with a raise, so the check also runs
+    # under python -O
+    keys = _model_keys(4, 3)
+    monkeypatch.setattr(graphs, "_model_keys", lambda l, k: keys[1:])
+    with pytest.raises(RuntimeError, match="misses a listing"):
+        _class_table.__wrapped__(4, 3)
 
 
 def test_subgraph_class_counts_total():
