@@ -45,6 +45,13 @@ def _emit(lines, out_path=None):
     sys.stdout.write(text)
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of --max-den: a decimal integer >= 1."""
+    if text.isascii() and text.isdigit() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError("expected an integer >= 1: %r" % text)
+
+
 def _load_graph(path):
     with _open_text(path) as fh:
         return parse_graph(fh)
@@ -217,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sdp-round",
                         help="round a solver solution and verify it")
     sp.add_argument("solution", help="solver solution file")
-    sp.add_argument("--max-den", type=int, default=DEFAULT_MAX_DEN)
+    sp.add_argument("--max-den", type=_positive_int, default=DEFAULT_MAX_DEN)
     sp.add_argument("--out", help="write the rounded certificate here")
     sp.set_defaults(func=cmd_sdp_round)
     return p

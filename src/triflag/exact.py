@@ -27,8 +27,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from numbers import Rational, Real
 from typing import Sequence
 
 import numpy as np
@@ -325,16 +327,39 @@ def psd_check(M: SymMatrix) -> PsdVerdict:
 
 
 def rational_reconstruct(x, max_den: int = DEFAULT_MAX_DEN) -> Fraction:
-    """Best rational approximation of x with denominator <= max_den.
+    """Best rational approximation of x with denominator <= max_den, equal
+    to `Fraction.limit_denominator(max_den)` of the exact value read.
 
-    `x` may be a Fraction, int, Decimal, or a decimal string; strings and
-    Decimals are converted exactly, with no binary floating intermediate.
-    A float is accepted for convenience and goes through its shortest decimal
-    repr, which keeps the operation deterministic.
+    A Fraction, int, Decimal or decimal string is read exactly, with no
+    binary floating intermediate; any other real number (numpy floats of
+    every width too) through the shortest repr of float(x), which keeps
+    the operation deterministic.  Anything else raises TypeError.
     """
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
-    if isinstance(x, float):
-        x = repr(float(x))      # np.float64 reprs as "np.float64(0.5)"
-    exact = Fraction(x)
-    return exact.limit_denominator(max_den)
+    return _best_approximation(x, max_den)
+
+
+def _best_approximation(x, max_den: int) -> Fraction:
+    """`rational_reconstruct` for max_den >= 1, on Python ints."""
+    if isinstance(x, float) or isinstance(x, Real) and not isinstance(
+            x, Rational):
+        x = Decimal(repr(float(x)))
+    elif not isinstance(x, (Rational, Decimal, str)):
+        raise TypeError("not a real number: %s" % type(x).__name__)
+    n, den = (x if isinstance(x, Decimal) else Fraction(x)).as_integer_ratio()
+    if den <= max_den:
+        return Fraction(n, den)
+    # n/den is in lowest terms: q2 = den > max_den stops it before r = 0
+    p0, q0, p1, q1, d = 0, 1, 1, 0, den
+    a, r = divmod(n, d)
+    while (q2 := q0 + a * q1) <= max_den:
+        p0, p1, q0, q1 = p1, p0 + a * p1, q1, q2
+        n, d = d, r
+        a, r = divmod(n, d)
+    k = (max_den - q0) // q1
+    # p1/q1 is at distance d/(q1 den) from x; it wins, ties too, within
+    # half the 1/(q1 (q0 + k q1)) between it and the semiconvergent
+    if 2 * d * (q0 + k * q1) <= den:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)

@@ -30,16 +30,19 @@ from fractions import Fraction
 from .certificate import (NUM_FLAGS, Certificate, CertificateBlock,
                           coefficient_table, load_shipped_certificate,
                           model_data)
-from .exact import (DEFAULT_MAX_DEN, SymMatrix, _parse_integer,
-                    rational_reconstruct)
+from .exact import (DEFAULT_MAX_DEN, SymMatrix, _best_approximation,
+                    _parse_integer)
 from .graphs import _open_text, _text_lines
 
 NUM_MODELS = 792
 NUM_BLOCKS = 11          # ten flag blocks + one diagonal slack block
 SIG_DIGITS = 40
-# A value as a solver writes it ("-0.0125", "1", "1.5e-07"): ASCII digits
-# only, where float() also reads "1_0", non-ASCII digits, "inf" and "nan".
-_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# A value as a solver writes it ("-0.0125", "1.5e-07"), ASCII digits only
+# (float() also reads "1_0", "inf"); one parse per digit run: linear time.
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_NOT_FINITE = "non-finite value or not an ASCII decimal: %.40r"
+# An entry line "matno blkno i j value"; \s is the whitespace str.split() cuts
+_ENTRY = re.compile(r"([+-]?[0-9]+)\s+" * 4 + "(%s)" % _DECIMAL.pattern)
 
 TARGET_BOUND = Fraction(1, 25)
 
@@ -89,8 +92,7 @@ def _finite(token: str) -> float:
     "1e400" to inf)."""
     if _DECIMAL.fullmatch(token) and math.isfinite(x := float(token)):
         return x
-    raise ValueError("non-finite value or not an ASCII decimal: %.40r"
-                     % token)
+    raise ValueError(_NOT_FINITE % token)
 
 
 def parse_solution(path) -> list:
@@ -110,18 +112,23 @@ def parse_solution(path) -> list:
     with _open_text(path) as fh:
         for ln, text in _text_lines(fh, SdpFormatError):
             try:
-                toks = text.split()
                 if dual is None:
-                    dual = [_finite(t) for t in toks]
+                    dual = [_finite(t) for t in text.split()]
                     if len(dual) != NUM_MODELS:
                         raise ValueError("dual vector has %d entries, "
                                          "expected %d"
                                          % (len(dual), NUM_MODELS))
                     continue
-                if len(toks) != 5:
+                if (m := _ENTRY.fullmatch(text)) is None:
+                    toks = text.split()     # raise the first bad token's error
+                    if len(toks) == 5:
+                        for tok in toks[:4]:
+                            _parse_integer(tok)
+                        _finite(toks[4])
                     raise ValueError("expected 'matno blkno i j value'")
-                matno, blkno, i, j = map(_parse_integer, toks[:4])
-                val = _finite(toks[4])
+                matno, blkno, i, j = map(int, m.group(1, 2, 3, 4))
+                if not math.isfinite(val := float(m[5])):   # "1e400"
+                    raise ValueError(_NOT_FINITE % m[5])
                 if matno == 1:
                     continue
                 if matno != 2:
@@ -162,6 +169,8 @@ def round_solution(blocks, max_den: int = DEFAULT_MAX_DEN) -> Certificate:
     writes.  The result is only structurally valid; it earns a verdict
     through the ordinary verification path.
     """
+    if max_den < 1:
+        raise ValueError("max_den must be >= 1")
     if len(blocks) != 10:
         raise ValueError("expected ten blocks")
     out = []
@@ -171,15 +180,14 @@ def round_solution(blocks, max_den: int = DEFAULT_MAX_DEN) -> Certificate:
                                             for r in numeric):
             raise ValueError("blocks must be %dx%d" % (NUM_FLAGS, NUM_FLAGS))
         rows = [[None] * NUM_FLAGS for _ in range(NUM_FLAGS)]
-        try:
-            for i in range(NUM_FLAGS):
-                for j in range(i, NUM_FLAGS):
-                    rows[i][j] = rows[j][i] = rational_reconstruct(
+        for i in range(NUM_FLAGS):
+            for j in range(i, NUM_FLAGS):
+                try:
+                    rows[i][j] = rows[j][i] = _best_approximation(
                         numeric[i][j], max_den)
-        except (OverflowError, ValueError) as exc:
-            # Fraction() of an infinite Decimal raises OverflowError, of
-            # "inf" or "nan" (a float's repr) ValueError
-            raise ValueError("block %d: %s" % (b, exc)) from exc
+                except (ArithmeticError, TypeError, ValueError) as exc:
+                    raise ValueError("block %d: entry (%d, %d): %s"
+                                     % (b, i + 1, j + 1, exc)) from exc
         out.append(CertificateBlock(tb.type_sigma, tb.vectors, tb.flags,
                                     SymMatrix(rows)))
     return Certificate(TARGET_BOUND, tuple(out))

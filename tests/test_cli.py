@@ -296,6 +296,21 @@ def test_sdp_round_default_max_den_is_the_library_default():
     assert args.max_den == DEFAULT_MAX_DEN == 4 * 10**6
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "x", "1.5", "\u0661"])
+def test_sdp_round_max_den_below_one_is_a_usage_error(tmp_path, capsys,
+                                                      value):
+    # argparse rejects it before the solution file is opened: the file
+    # does not exist, and a missing file would return 2, not exit with it
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["sdp-round", str(missing), "--max-den", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: triflag sdp-round")
+    assert ("error: argument --max-den: expected an integer >= 1: %r"
+            % value) in err
+
+
 @pytest.mark.parametrize("n, k, entries, want", [
     (4, 1, (1, 1, 1, 1, 1, 1), "triangles=4 by_colour=4\n"),
     (4, 2, (1, 2, 2, 2, 2, 2), "triangles=2 by_colour=0,2\n"),

@@ -1,11 +1,12 @@
 import math
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from triflag import exact, round_solution
@@ -554,11 +555,19 @@ def test_reconstruct_takes_numpy_floats_as_floats():
     # under numpy 2 the repr of np.float64(0.1) is "np.float64(0.1)"
     assert rational_reconstruct(np.float64(0.1)) == F(1, 10)
     assert rational_reconstruct(np.float64(0.04), 100) == F(1, 25)
+    # narrower numpy floats go through float(), float32(0.1) to
+    # 0.10000000149011612
+    assert rational_reconstruct(np.float32(0.5)) == F(1, 2)
+    assert rational_reconstruct(np.float16(-0.25)) == F(-1, 4)
+    assert rational_reconstruct(np.float32(0.1), 10**9) == F(
+        "0.10000000149011612").limit_denominator(10**9) != F(1, 10)
 
 
 def test_reconstruct_exact_decimal_has_no_binary_detour():
     # 0.1 is not a binary float value; string input must stay exact
     assert rational_reconstruct("0.1", 10**6) == F(1, 10)
+    assert rational_reconstruct(Decimal("0.1"), 10**6) == F(1, 10)
+    assert rational_reconstruct(Decimal("-1E-3"), 10**6) == F(-1, 1000)
 
 
 @settings(max_examples=100, deadline=None)
@@ -570,3 +579,63 @@ def test_reconstruct_recovers_representable(p, q):
 def test_reconstruct_rejects_bad_max_den():
     with pytest.raises(ValueError):
         rational_reconstruct("0.5", 0)
+
+
+def limit_denominator_oracle(x, max_den):
+    """The stdlib's best approximation of the exact value that
+    `rational_reconstruct` reads: a float's shortest repr, else x."""
+    if isinstance(x, (float, np.floating)):
+        x = repr(float(x))
+    return Fraction(x).limit_denominator(max_den)
+
+
+MAX_DENS = st.one_of(st.integers(1, 60), st.integers(1, 10**12))
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, -0.04, -1 / 3]
+
+
+@seed(25)
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_FLOATS),
+    st.fractions(max_denominator=10**15), st.integers(-10**20, 10**20),
+    st.decimals(min_value=-10**6, max_value=10**6, allow_nan=False,
+                allow_infinity=False).flatmap(
+                    lambda d: st.sampled_from([d, str(d)]))), MAX_DENS)
+def test_reconstruct_equals_limit_denominator(x, max_den):
+    assert rational_reconstruct(x, max_den) == limit_denominator_oracle(
+        x, max_den)
+
+
+@st.composite
+def farey_midpoints(draw):
+    """(max_den, a/b, c/e, their midpoint) for a/b and its right neighbour
+    c/e among the fractions with denominator <= max_den: the midpoint is
+    as close to one as to the other, a tie for the rounding rule."""
+    max_den = draw(MAX_DENS)
+    b = draw(st.integers(1, max_den))
+    a = draw(st.integers(-3 * b, 3 * b))
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    e = max_den if b == 1 else -pow(a, -1, b) % b
+    e += (max_den - e) // b * b          # the largest e <= max_den
+    c = (a * e + 1) // b                 # b c - a e = 1
+    return max_den, F(a, b), F(c, e), (F(a, b) + F(c, e)) / 2
+
+
+@seed(25)
+@settings(max_examples=600, deadline=None)
+@given(farey_midpoints())
+def test_reconstruct_breaks_ties_as_limit_denominator(case):
+    max_den, low, high, mid = case
+    assert mid - low == high - mid > 0
+    got = rational_reconstruct(mid, max_den)
+    assert got in (low, high)
+    assert got == limit_denominator_oracle(mid, max_den)
+    assert rational_reconstruct(str(mid), max_den) == got
+
+
+@pytest.mark.parametrize("value", [None, 1j, np.complex128(1), [0.5]])
+def test_reconstruct_rejects_what_is_not_a_real_number(value):
+    with pytest.raises(TypeError, match="^not a real number: "):
+        rational_reconstruct(value)

@@ -1,15 +1,19 @@
 import random
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from triflag import certificate as cert_mod
-from triflag.certificate import load_certificate, verify
+from triflag.certificate import (Certificate, CertificateBlock,
+                                 load_certificate, serialize_certificate,
+                                 verify)
 from triflag.exact import SymMatrix
 from triflag.graphs import ColouredGraph, mono_triangles
-from triflag.sdp import (NUM_BLOCKS, NUM_MODELS, SdpFormatError, export_sdp,
-                         parse_solution, round_solution)
+from triflag.sdp import (NUM_BLOCKS, NUM_MODELS, TARGET_BOUND, SdpFormatError,
+                         export_sdp, parse_solution, round_solution)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +143,97 @@ def test_parse_solution_takes_ascii_integers_only(tmp_path, entry):
         parse_solution(path)
 
 
+def test_parse_solution_names_a_value_that_overflows(tmp_path):
+    # "1e400" has the shape of a decimal; float() takes it to inf
+    path = tmp_path / "sol"
+    _write_solution(path, ["2 1 1 1 1.0", "2 1 1 2 1e400"])
+    with pytest.raises(SdpFormatError, match="^line 3: non-finite value or "
+                       "not an ASCII decimal: '1e400'$"):
+        parse_solution(path)
+
+
+def test_parse_solution_reads_a_long_value_in_linear_time(tmp_path):
+    # the value pattern splits a run of digits one way only, so rejecting
+    # a long run takes time linear, not quadratic, in its length
+    path = tmp_path / "sol"
+    _write_solution(path, ["2 1 1 1 " + "9" * 200_000 + "x"])
+    start = time.process_time()
+    with pytest.raises(SdpFormatError, match="^line 2: non-finite"):
+        parse_solution(path)
+    assert time.process_time() - start < 5
+
+
+# Every value shape the solution format admits, signs and exponents included
+VALUE_SHAPES = ["1.", ".5", "-0", "1E-3", "+4e+2", "-.25", "7", "+1.5E+1",
+                "0.0", "-3.e-2", "00012.5000"]
+
+
+def _well_formed_solution(rng):
+    """A seeded solution file that parses, in the layouts solvers write:
+    tabs and runs of spaces, signed and zero-padded integers, matno-1 and
+    slack lines, repeated entries and pairs given in both triangles."""
+    def sep():
+        return rng.choice([" ", "\t", "  ", " \t ", "\t\t", "    "])
+
+    def integer(k):
+        return rng.choice(["%d", "+%d", "0%d", "%d"]) % k
+
+    def value():
+        if rng.random() < 0.3:
+            return rng.choice(VALUE_SHAPES)
+        return rng.choice(["%r", "%.6e", "%.17g"]) % rng.uniform(-2, 2)
+
+    def line(*fields):
+        return (rng.choice(["", " ", "\t"]) + sep().join(fields)
+                + rng.choice(["", " ", "\t"]))
+
+    lines = [line(*[value() for _ in range(NUM_MODELS)])]
+    entries = []
+    for _ in range(rng.randrange(50, 300)):
+        b, i, j = rng.randrange(1, 11), rng.randrange(1, 28), rng.randrange(
+            1, 28)
+        entries.append((2, b, i, j))
+        if rng.random() < 0.3:
+            entries.append((2, b, j, i))          # the other triangle
+        if rng.random() < 0.1:
+            entries.append((2, b, i, j))          # repeated
+    entries += [(1, rng.randrange(1, 12), rng.randrange(1, 28),
+                 rng.randrange(1, 28)) for _ in range(rng.randrange(20))]
+    entries += [(2, 11, k, k) for k in rng.sample(range(1, 793), 20)]
+    rng.shuffle(entries)
+    for fields in entries:
+        lines.append(line(*map(integer, fields), value()))
+        if rng.random() < 0.05:
+            lines.append(rng.choice(["", " ", "\t"]))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_parse(text):
+    """Token-by-token reading of a well-formed solution file: the last
+    value of each matno-2 flag-block entry, the float average of a pair
+    given in both triangles, mirrored."""
+    cells = {}
+    for toks in [line.split() for line in text.splitlines()][1:]:
+        if toks and int(toks[0]) == 2 and int(toks[1]) <= 10:
+            b, i, j = (int(t) for t in toks[1:4])
+            cells[b - 1, i - 1, j - 1] = float(toks[4])
+    blocks = [[[0.0] * 27 for _ in range(27)] for _ in range(10)]
+    for (b, i, j), val in cells.items():
+        if i != j and (b, j, i) in cells:
+            val = (val + cells[b, j, i]) / 2.0
+        blocks[b][i][j] = blocks[b][j][i] = val
+    return blocks
+
+
+def test_parse_solution_matches_a_token_by_token_reader(tmp_path):
+    path = tmp_path / "sol"
+    rng = random.Random(25)
+    for _ in range(30):
+        text = _well_formed_solution(rng)
+        path.write_text(text)
+        assert repr(parse_solution(path)) == repr(_reference_parse(text))
+
+
 def test_parse_solution_mutation_fuzz_raises_only_sdp_format_error(
         tmp_path, mutant, write_with_bad_byte):
     path = tmp_path / "sol"
@@ -207,6 +302,50 @@ def test_round_solution_parses_the_shipped_certificate_once(monkeypatch):
     blocks = [np.eye(27)] * 10
     assert round_solution(blocks) == round_solution(blocks)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("noise", [1e-14, 1e-8])
+def test_round_solution_matches_entrywise_limit_denominator(shipped_cert,
+                                                            noise):
+    blocks = _perturbed_blocks(shipped_cert, noise, seed=25)
+    for max_den in (1, 10**3, 4 * 10**6, 10**9):
+        reference = Certificate(TARGET_BOUND, tuple(
+            CertificateBlock(b.type_sigma, b.vectors, b.flags, SymMatrix(
+                [[Fraction(repr(numeric[min(i, j)][max(i, j)]))
+                  .limit_denominator(max_den) for j in range(27)]
+                 for i in range(27)]))
+            for b, numeric in zip(shipped_cert.blocks, blocks)))
+        assert (serialize_certificate(round_solution(blocks, max_den))
+                == serialize_certificate(reference))
+
+
+@pytest.mark.parametrize("max_den", [0, -5])
+def test_round_solution_rejects_max_den_below_one_once(max_den):
+    with pytest.raises(ValueError, match="^max_den must be >= 1$"):
+        round_solution([np.eye(27)] * 10, max_den=max_den)
+
+
+def test_round_solution_takes_float32_blocks_as_float64(shipped_cert):
+    blocks = np.array(_perturbed_blocks(shipped_cert, 1e-8), np.float32)
+    for max_den in (10**3, 4 * 10**6):
+        assert (round_solution(blocks, max_den)
+                == round_solution(blocks.astype(np.float64), max_den))
+
+
+def test_round_solution_reads_decimals_exactly():
+    blocks = [[[0.0] * 27 for _ in range(27)] for _ in range(10)]
+    blocks[0][0][0], blocks[4][2][7] = Decimal("0.1"), "-0.3"
+    rounded = round_solution(blocks, max_den=10**6)
+    assert rounded.blocks[0].Q.rows[0][0] == Fraction(1, 10)
+    assert rounded.blocks[4].Q.rows[7][2] == Fraction(-3, 10)
+
+
+@pytest.mark.parametrize("value", [None, 1j, "x", [0.5]])
+def test_round_solution_names_the_entry_it_cannot_read(value):
+    blocks = [[[0.0] * 27 for _ in range(27)] for _ in range(10)]
+    blocks[2][3][5] = value
+    with pytest.raises(ValueError, match=r"^block 3: entry \(4, 6\): "):
+        round_solution(blocks)
 
 
 def test_round_solution_with_exact_inputs(shipped_cert):
