@@ -18,6 +18,18 @@ entirely in rational arithmetic:
 
 Models are always keyed by canonical key; no ordinal model numbering is
 used anywhere.
+
+The PSD check runs the exact elimination of `exact.psd_check` once per
+colour orbit of blocks (symmetry reduction in the sense of Gatermann and
+Parrilo, done exactly at verification time).  A colour permutation and a
+vertex relabelling that carry an eliminated block's labelled type onto
+another block's type propose a flag permutation p; when the other block's
+Q equals the permuted Q_a = P^T Q_a P exactly, compared a whole row at a
+time, it takes that block's verdict and rank, and a NotPSD witness,
+permuted, is re-checked exactly on its own block.  The maps only propose
+p; the exact equality proves it, and a block that matches no eliminated
+block is eliminated itself.  The shipped certificate is invariant under
+the 3-cycle of colours, so four of its ten blocks are eliminated.
 """
 
 from __future__ import annotations
@@ -29,11 +41,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import resources
+from itertools import permutations
+from operator import itemgetter
 
 import numpy as np
 
-from .exact import (SymMatrix, _parse_integer, format_rational,
-                    parse_rational, psd_check)
+from .exact import (PsdVerdict, SymMatrix, WitnessError, _parse_integer,
+                    format_rational, parse_rational, psd_check)
 from .extremal import build_gex
 from .flags import _colour_code, flag_from_vector, triangle_pair_counts
 from .graphs import (ColouredGraph, _model_keys, _subset_classes, bad_family,
@@ -131,6 +145,7 @@ class VerificationReport:
     psd_ok: list                       # per block
     psd_failed_blocks: list
     psd_ranks: list                    # per block; None where not PSD
+    psd_sources: list                  # per block; see `_psd_verdicts`
     lambdas: dict                      # model key -> Fraction
     min_lambda: Fraction | None
     negative_lambda_keys: list
@@ -355,6 +370,79 @@ def lambda_vector(cert: Certificate, table: CoefficientTable) -> dict:
             for key, s in zip(table.model_keys, sums.tolist())}
 
 
+# colour maps pi and vertex maps tau, as tuples indexed by colour - 1 and by
+# vertex; the edges of a 3-vertex type in listing order
+_COLOUR_MAPS = tuple(permutations((1, 2, 3)))
+_VERTEX_MAPS = tuple(permutations(range(3)))
+_TYPE_EDGES = ((0, 1), (0, 2), (1, 2))
+
+
+@cache          # one per labelled 3-vertex type, 27 at most
+def _type_images(target: ColouredGraph) -> dict:
+    """Listing -> the (pi, tau) that carry the labelled 3-vertex type
+    `target` onto the type with that listing, whose colour(u, w) is
+    pi(target colour(tau(u), tau(w)))."""
+    colour = target.matrix()
+    images = {}
+    for pi in _COLOUR_MAPS:
+        for tau in _VERTEX_MAPS:
+            images.setdefault(bytes(pi[colour[tau[u]][tau[w]] - 1]
+                                    for u, w in _TYPE_EDGES), []).append(
+                (pi, tau))
+    return images
+
+
+def _flag_maps(a: CertificateBlock, b: CertificateBlock):
+    """The flag permutations p proposed by the (pi, tau) that carry block
+    b's labelled type onto block a's: flag i of b, with colour vector v,
+    goes to the flag p[i] of a with colour vector pi(v o tau)."""
+    maps = _type_images(b.type_sigma).get(a.type_sigma.entries)
+    if maps:
+        index = {v: i for i, v in enumerate(a.vectors)}
+        for pi, tau in maps:
+            yield [index[tuple(pi[v[t] - 1] for t in tau)] for v in b.vectors]
+
+
+def _psd_verdicts(blocks) -> tuple:
+    """Each block's `psd_check` verdict, with an elimination once per
+    colour orbit, and per block the 1-based index of the eliminated block
+    whose verdict it took, or None where it was eliminated itself.
+
+    A block takes the verdict of an eliminated block a when some flag
+    permutation p proposed by `_flag_maps` gives Q[i][j] = Q_a[p[i]][p[j]]
+    on every entry, compared a whole row at a time: then Q = P^T Q_a P, so
+    Q is PSD exactly when Q_a is, with the same rank, and a witness v of
+    Q_a gives the witness v o p of Q, re-checked exactly here.  The maps
+    only propose p; the equality test is the proof."""
+    verdicts, sources, eliminated = [], [], []
+    for b, block in enumerate(blocks, start=1):
+        rows = block.Q.rows
+        for r in eliminated:
+            a, verdict = blocks[r], verdicts[r]
+            p = next((p for p in _flag_maps(a, block)
+                      if all(itemgetter(*p)(a.Q.rows[k]) == row
+                             for k, row in zip(p, rows))), None)
+            if p is None:
+                continue
+            if verdict.is_psd:       # a's pivot rows factor Q_a, not Q
+                verdict = PsdVerdict(is_psd=True, rank=verdict.rank)
+            else:
+                witness = tuple(verdict.witness[k] for k in p)
+                if not block.Q.quadratic_form(witness) < 0:
+                    raise WitnessError("block %d: the permuted witness of "
+                                       "block %d is not negative"
+                                       % (b, r + 1))
+                verdict = PsdVerdict(is_psd=False, witness=witness)
+            verdicts.append(verdict)
+            sources.append(r + 1)
+            break
+        else:
+            eliminated.append(b - 1)
+            verdicts.append(psd_check(block.Q))
+            sources.append(None)
+    return verdicts, sources
+
+
 def verify(cert: Certificate, table: CoefficientTable | None = None) -> VerificationReport:
     """Full exact verification; failures are report content, never raised.
     A `table` built for another flag layout raises ValueError."""
@@ -362,7 +450,7 @@ def verify(cert: Certificate, table: CoefficientTable | None = None) -> Verifica
     if table is None:
         table = coefficient_table(cert)
     lambdas = lambda_vector(cert, table)
-    verdicts = [psd_check(block.Q) for block in cert.blocks]
+    verdicts, sources = _psd_verdicts(cert.blocks)
     psd_ok = [v.is_psd for v in verdicts]
     negative = sorted(key for key, lam in lambdas.items() if lam < 0)
     min_lambda = min(lambdas.values()) if lambdas else None
@@ -376,6 +464,7 @@ def verify(cert: Certificate, table: CoefficientTable | None = None) -> Verifica
         psd_failed_blocks=[r for r, ok in enumerate(psd_ok, start=1)
                            if not ok],
         psd_ranks=[v.rank for v in verdicts],
+        psd_sources=sources,
         lambdas=lambdas,
         min_lambda=min_lambda,
         negative_lambda_keys=negative,

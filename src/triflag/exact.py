@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -38,6 +39,9 @@ import numpy as np
 DEFAULT_MAX_DEN = 4 * 10**6
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# a decimal string with an exponent, read the same by Fraction and Decimal
+_EXPONENT_DECIMAL = re.compile(
+    r"\s*[+-]?([0-9]*)(?:\.([0-9]*))?[eE]([+-]?[0-9]+)\s*")
 # A proposed eigenvector is scaled to this largest entry and rounded.  The
 # rounding moves v^T M v by at most n |M| / 4 + |v| sqrt(n) |lambda|, far
 # below |v|^2 |lambda| >= 2^60 |lambda| > 256 n |M| once lambda is past the
@@ -78,11 +82,29 @@ def _parse_integer(token: str) -> int:
 
 
 def format_rational(x: Fraction) -> str:
-    """Render a Fraction as "p/q", or "p" when the denominator is 1."""
+    """Render a Fraction as "p/q", or "p" when the denominator is 1, with
+    no limit on the digits: beyond Python's int-string digit limit the
+    parts go through `_decimal_digits`, and the limit is left alone."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    parts = (x.numerator,) if x.denominator == 1 else (x.numerator,
+                                                       x.denominator)
+    try:
+        return "/".join(map(str, parts))
+    except ValueError:
+        return "/".join(map(_decimal_digits, parts))
+
+
+def _decimal_digits(n: int) -> str:
+    """str(n) for an int of any size: split at a power of ten near half its
+    digits until each part is below 640 digits, the least int-string digit
+    limit Python admits."""
+    if n < 0:
+        return "-" + _decimal_digits(-n)
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20        # under half its digits: log10(2) > 0.3
+    high, low = divmod(n, 10**k)
+    return _decimal_digits(high) + _decimal_digits(low).zfill(k)
 
 
 class SymMatrix:
@@ -333,20 +355,60 @@ def rational_reconstruct(x, max_den: int = DEFAULT_MAX_DEN) -> Fraction:
     A Fraction, int, Decimal or decimal string is read exactly, with no
     binary floating intermediate; any other real number (numpy floats of
     every width too) through the shortest repr of float(x), which keeps
-    the operation deterministic.  Anything else raises TypeError.
+    the operation deterministic.  Anything else raises TypeError.  A
+    Decimal, or an ASCII decimal string with an exponent, is first sized
+    by `_decided_by_exponent`, so a far exponent never builds its power of
+    ten.
     """
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
     return _best_approximation(x, max_den)
 
 
+def _decided_by_exponent(x, max_den: int) -> bool:
+    """For a Decimal or a decimal string with an exponent, sized from its
+    exponent and digit count alone: True when it is zero or below 1/(2
+    max_den) in size, so that its best approximation is 0; a ValueError
+    when a positive exponent gives it more integer digits than Python's
+    int-string digit limit (its default where the limit is off); False
+    otherwise, where reading x exactly is linear in its text and in
+    max_den's digits."""
+    if isinstance(x, Decimal):
+        if not x.is_finite():
+            return False
+        _, digits, exponent = x.as_tuple()
+        size = len(digits) if any(digits) else 0    # no leading zeros
+    else:
+        match = _EXPONENT_DECIMAL.fullmatch(x)
+        if match is None:
+            return False
+        whole, fraction, exponent = match.groups(default="")
+        if not whole + fraction:
+            return False                # not a number: Fraction says so
+        size = len((whole + fraction).lstrip("0"))
+        exponent = int(exponent) - len(fraction)
+    if size == 0:
+        return True
+    top = size + exponent               # 10^(top - 1) <= |x| < 10^top
+    # 10^-top <= 2^-(bits + 1) < 1 / (2 max_den) once 3 (-top) > bits
+    if -3 * top > max_den.bit_length():
+        return True
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if exponent > 0 and top > limit:
+        raise ValueError("a decimal of %d integer digits exceeds the limit "
+                         "of %d" % (top, limit))
+    return False
+
+
 def _best_approximation(x, max_den: int) -> Fraction:
     """`rational_reconstruct` for max_den >= 1, on Python ints."""
     if isinstance(x, float) or isinstance(x, Real) and not isinstance(
             x, Rational):
-        x = Decimal(repr(float(x)))
+        x = Decimal(repr(float(x)))     # its exponent is within +-324
     elif not isinstance(x, (Rational, Decimal, str)):
         raise TypeError("not a real number: %s" % type(x).__name__)
+    elif not isinstance(x, Rational) and _decided_by_exponent(x, max_den):
+        return Fraction(0)
     n, den = (x if isinstance(x, Decimal) else Fraction(x)).as_integer_ratio()
     if den <= max_den:
         return Fraction(n, den)

@@ -583,3 +583,133 @@ def test_extremal_zero_report_reports_a_slack_bound(shipped_cert,
     rows = cert_mod.extremal_zero_report(report.lambdas)
     assert len(rows) == 792
     assert sum(1 for _, lam, occ in rows if occ and lam != 0) == 16
+
+
+def test_psd_sources_pin_the_colour_orbits(shipped_report):
+    # the shipped certificate is invariant under the 3-cycle of colours:
+    # only blocks 1, 2, 3 and 5 are eliminated, the rest take a verdict
+    assert shipped_report.psd_sources == [None, None, None, 3, None, 2, 1, 2,
+                                          3, 1]
+    assert "source" not in report_text(shipped_report).lower()
+
+
+def flag_form(rows, v):
+    """v^T Q v summed entry by entry in Fractions."""
+    return sum((v[i] * rows[i][j] * v[j] for i in range(len(v)) if v[i]
+                for j in range(len(v)) if v[j]), Fraction(0))
+
+
+def with_blocks(cert, changes):
+    """`cert` with block r's Q rows replaced by changes[r](rows)."""
+    blocks = list(cert.blocks)
+    for r, change in changes.items():
+        blocks[r] = replace(blocks[r], Q=SymMatrix(change(blocks[r].Q.rows)))
+    return replace(cert, blocks=tuple(blocks))
+
+
+def negate(rows):
+    return [[-x for x in row] for row in rows]
+
+
+def flag_permuted(cert, rng):
+    """The flags of every block listed in a random order, as the benchmark's
+    permuted candidates are built."""
+    blocks = []
+    for b in cert.blocks:
+        p = rng.sample(range(27), 27)
+        blocks.append(replace(
+            b, vectors=tuple(b.vectors[k] for k in p),
+            flags=tuple(b.flags[k] for k in p),
+            Q=SymMatrix([[b.Q.rows[i][j] for j in p] for i in p])))
+    return replace(cert, blocks=tuple(blocks))
+
+
+def orbit_cases(cert):
+    rng = random.Random(2601)
+    cases = [("shipped", cert)]
+    cases += [("permuted-%d" % t, flag_permuted(cert, rng)) for t in range(2)]
+    cases.append(("relabelled", relabelled(cert, rng)[0]))
+    cases += [("negated-%d" % (r + 1), with_blocks(cert, {r: negate}))
+              for r in range(10)]
+    cases.append(("negated-2-6", with_blocks(cert, {1: negate, 5: negate})))
+    i, j = rng.randrange(27), rng.randrange(27)
+    delta = Fraction(rng.randrange(1, 10**6), rng.randrange(10**6, 10**8))
+
+    def nudged(rows):
+        rows = [list(row) for row in rows]
+        rows[i][j] += delta
+        rows[j][i] = rows[i][j]
+        return rows
+    cases.append(("nudged-6", with_blocks(cert, {5: nudged})))
+    return cases
+
+
+def test_orbit_verdicts_match_psd_check_on_every_block(shipped_cert,
+                                                       shipped_table):
+    for name, cert in orbit_cases(shipped_cert):
+        report = verify(cert, coefficient_table(cert))
+        direct = [cert_mod.psd_check(b.Q) for b in cert.blocks]
+        assert report.psd_ok == [v.is_psd for v in direct], name
+        assert report.psd_ranks == [v.rank for v in direct], name
+        for r, source in enumerate(report.psd_sources):
+            if source is not None:
+                assert source - 1 < r, name
+                assert report.psd_sources[source - 1] is None, name
+        if name in ("shipped", "permuted-0", "permuted-1", "relabelled"):
+            assert report.psd_ok == [True] * 10
+            assert sum(s is not None for s in report.psd_sources) == 6, name
+
+
+def test_a_reused_not_psd_verdict_carries_a_checked_witness(shipped_cert):
+    cert = dict(orbit_cases(shipped_cert))["negated-2-6"]
+    verdicts, sources = cert_mod._psd_verdicts(cert.blocks)
+    assert sources[5] == 2
+    assert not verdicts[5].is_psd
+    assert flag_form(cert.blocks[5].Q.rows, verdicts[5].witness) < 0
+    assert verdicts[5].witness != verdicts[1].witness
+
+
+def test_a_changed_image_block_is_eliminated_itself(shipped_cert):
+    cert = dict(orbit_cases(shipped_cert))["nudged-6"]
+    verdicts, sources = cert_mod._psd_verdicts(cert.blocks)
+    assert sources[5] is None
+    assert sources[7] == 2
+    direct = cert_mod.psd_check(cert.blocks[5].Q)
+    assert (verdicts[5].is_psd, verdicts[5].rank) == (direct.is_psd,
+                                                       direct.rank)
+
+
+def test_a_permuted_witness_that_fails_its_recheck_raises(shipped_cert):
+    # a proposal is only a proposal: a witness that does not re-check on
+    # its own block is an internal fault, never a verdict
+    cert = dict(orbit_cases(shipped_cert))["negated-2-6"]
+    fake = cert_mod.PsdVerdict(is_psd=False, witness=(0,) * 27)
+    psd_check = cert_mod.psd_check
+    with mock.patch.object(
+            cert_mod, "psd_check", side_effect=lambda Q: fake
+            if Q is cert.blocks[1].Q else psd_check(Q)):
+        with pytest.raises(cert_mod.WitnessError,
+                           match="^block 6: .* of block 2 "):
+            cert_mod._psd_verdicts(cert.blocks)
+
+
+def test_a_verdict_with_huge_lambdas_is_printed(shipped_cert, shipped_table):
+    # every lambda has over 5,000 digits, past Python's int-string limit
+    report = verify(replace(shipped_cert, bound=Fraction(10**5000 + 1, 3)),
+                    shipped_table)
+    lines = report_text(report).splitlines()
+    assert lines[-1] == "VERDICT FAILED"
+    assert "NEGATIVE_LAMBDAS 792" in lines
+    low = report.min_lambda
+    assert lines[11] == "MIN_LAMBDA -%s/%s" % (
+        "".join("%d" % d for d in digits_of(-low.numerator)),
+        "".join("%d" % d for d in digits_of(low.denominator)))
+
+
+def digits_of(n):
+    """The decimal digits of n > 0, most significant first."""
+    digits = []
+    while n:
+        n, d = divmod(n, 10)
+        digits.append(d)
+    return digits[::-1]

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -639,3 +641,66 @@ def test_reconstruct_breaks_ties_as_limit_denominator(case):
 def test_reconstruct_rejects_what_is_not_a_real_number(value):
     with pytest.raises(TypeError, match="^not a real number: "):
         rational_reconstruct(value)
+
+
+@pytest.mark.parametrize("x, want", [
+    ("1e-999999999", F(0)), ("-3.25E-1000000000", F(0)),
+    (" 7.e-999999999 ", F(0)), ("0e-999999999", F(0)),
+    ("0.000e999999999", F(0)), (Decimal("1e-999999999"), F(0)),
+    (Decimal("-0E+999999999"), F(0)),
+    ("1e999999999", ValueError), ("-2.5E+1000000000", ValueError),
+    (Decimal("7E+999999999"), ValueError)])
+def test_reconstruct_decides_a_far_exponent_from_its_size(x, want):
+    start = time.process_time()
+    if want is ValueError:
+        with pytest.raises(ValueError, match="integer digits exceeds"):
+            rational_reconstruct(x, 10**12)
+    else:
+        assert rational_reconstruct(x, 10**12) == want
+    assert time.process_time() - start < 1e-3
+
+
+@seed(26)
+@settings(max_examples=600, deadline=None)
+@given(st.integers(-10**30, 10**30), st.integers(-60, 40),
+       st.sampled_from(["%de%d", "%dE%+d", " %d.0e%d "]), st.booleans(),
+       MAX_DENS)
+def test_reconstruct_of_exponents_equals_limit_denominator(
+        mantissa, exponent, form, as_decimal, max_den):
+    # exponents on both sides of the 1/(2 max_den) cut-off and of the
+    # values read exactly
+    x = form % (mantissa, exponent)
+    if as_decimal:
+        x = Decimal(x)
+    assert rational_reconstruct(x, max_den) == limit_denominator_oracle(
+        x, max_den)
+
+
+def test_reconstruct_sizes_an_exponent_at_the_cut_off_exactly():
+    # 10^-top against 1/(2 max_den): just inside the cut-off the value is
+    # read exactly, just outside it is 0
+    for max_den in (1, 7, 8, 10**6, 2**40, 10**30):
+        for text in ("4.9e-%d" % k for k in range(1, 40)):
+            assert rational_reconstruct(text, max_den) == \
+                limit_denominator_oracle(text, max_den)
+
+
+def reference_digits(n):
+    """Decimal digits of n >= 0 read off 100 at a time."""
+    chunks = []
+    while n:
+        n, low = divmod(n, 10**100)
+        chunks.append("%0100d" % low)
+    return "".join(reversed(chunks)).lstrip("0") or "0"
+
+
+@pytest.mark.parametrize("x", [F(10**5000 + 1, 3), F(-(10**5000 + 1), 3),
+                               F(7, 10**9000 + 3), F(-(10**20000) - 9),
+                               F(3**9000, 2**20000)])
+def test_format_rational_prints_beyond_the_int_digit_limit(x):
+    limit = sys.get_int_max_str_digits()
+    want = reference_digits(abs(x.numerator))
+    if x.denominator != 1:
+        want += "/" + reference_digits(x.denominator)
+    assert format_rational(x) == ("-" if x < 0 else "") + want
+    assert sys.get_int_max_str_digits() == limit
