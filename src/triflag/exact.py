@@ -28,7 +28,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational, Real
@@ -39,9 +39,9 @@ import numpy as np
 DEFAULT_MAX_DEN = 4 * 10**6
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-# a decimal string with an exponent, read the same by Fraction and Decimal
-_EXPONENT_DECIMAL = re.compile(
-    r"\s*[+-]?([0-9]*)(?:\.([0-9]*))?[eE]([+-]?[0-9]+)\s*")
+# Python's default int-string digit limit, also used where the limit is off
+# or where the interpreter has none (before 3.10.7)
+_DEFAULT_DIGIT_LIMIT = 4300
 # A proposed eigenvector is scaled to this largest entry and rounded.  The
 # rounding moves v^T M v by at most n |M| / 4 + |v| sqrt(n) |lambda|, far
 # below |v|^2 |lambda| >= 2^60 |lambda| > 256 n |M| once lambda is past the
@@ -83,25 +83,22 @@ def _parse_integer(token: str) -> int:
 
 def format_rational(x: Fraction) -> str:
     """Render a Fraction as "p/q", or "p" when the denominator is 1, with
-    no limit on the digits: beyond Python's int-string digit limit the
-    parts go through `_decimal_digits`, and the limit is left alone."""
+    no limit on the digits: Python's int-string digit limit is left alone."""
     x = Fraction(x)
-    parts = (x.numerator,) if x.denominator == 1 else (x.numerator,
-                                                       x.denominator)
-    try:
-        return "/".join(map(str, parts))
-    except ValueError:
-        return "/".join(map(_decimal_digits, parts))
+    if x.denominator == 1:
+        return _decimal_digits(x.numerator)
+    return "%s/%s" % (_decimal_digits(x.numerator),
+                      _decimal_digits(x.denominator))
 
 
 def _decimal_digits(n: int) -> str:
     """str(n) for an int of any size: split at a power of ten near half its
     digits until each part is below 640 digits, the least int-string digit
     limit Python admits."""
-    if n < 0:
-        return "-" + _decimal_digits(-n)
     if n.bit_length() <= 2000:
         return str(n)
+    if n < 0:
+        return "-" + _decimal_digits(-n)
     k = n.bit_length() * 3 // 20        # under half its digits: log10(2) > 0.3
     high, low = divmod(n, 10**k)
     return _decimal_digits(high) + _decimal_digits(low).zfill(k)
@@ -356,48 +353,53 @@ def rational_reconstruct(x, max_den: int = DEFAULT_MAX_DEN) -> Fraction:
     binary floating intermediate; any other real number (numpy floats of
     every width too) through the shortest repr of float(x), which keeps
     the operation deterministic.  Anything else raises TypeError.  A
-    Decimal, or an ASCII decimal string with an exponent, is first sized
-    by `_decided_by_exponent`, so a far exponent never builds its power of
-    ten.
+    string with no "/" is read as the Decimal it denotes, and a Decimal is
+    first sized by `_decided_by_exponent`, so a far exponent never builds
+    its power of ten.
     """
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
     return _best_approximation(x, max_den)
 
 
-def _decided_by_exponent(x, max_den: int) -> bool:
-    """For a Decimal or a decimal string with an exponent, sized from its
-    exponent and digit count alone: True when it is zero or below 1/(2
-    max_den) in size, so that its best approximation is 0; a ValueError
-    when a positive exponent gives it more integer digits than Python's
-    int-string digit limit (its default where the limit is off); False
-    otherwise, where reading x exactly is linear in its text and in
-    max_den's digits."""
-    if isinstance(x, Decimal):
-        if not x.is_finite():
-            return False
-        _, digits, exponent = x.as_tuple()
-        size = len(digits) if any(digits) else 0    # no leading zeros
-    else:
-        match = _EXPONENT_DECIMAL.fullmatch(x)
-        if match is None:
-            return False
-        whole, fraction, exponent = match.groups(default="")
-        if not whole + fraction:
-            return False                # not a number: Fraction says so
-        size = len((whole + fraction).lstrip("0"))
-        exponent = int(exponent) - len(fraction)
-    if size == 0:
+def _decided_by_exponent(x: Decimal, max_den: int) -> bool:
+    """A Decimal sized from its exponent and digit count alone: True when
+    it is zero or below 1/(2 max_den) in size, so that its best
+    approximation is 0; a ValueError when its integer ratio needs a
+    numerator of more digits than Python's int-string digit limit, since
+    reading its digits into an int is quadratic in their count; False
+    otherwise, where reading x exactly is linear in its digits and in
+    max_den's."""
+    if not x.is_finite():
+        return False                    # as_integer_ratio says why
+    _, digits, exponent = x.as_tuple()
+    if not any(digits):
         return True
-    top = size + exponent               # 10^(top - 1) <= |x| < 10^top
+    top = len(digits) + exponent        # 10^(top - 1) <= |x| < 10^top
     # 10^-top <= 2^-(bits + 1) < 1 / (2 max_den) once 3 (-top) > bits
     if -3 * top > max_den.bit_length():
         return True
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if exponent > 0 and top > limit:
-        raise ValueError("a decimal of %d integer digits exceeds the limit "
-                         "of %d" % (top, limit))
+    limit = (getattr(sys, "get_int_max_str_digits", lambda: 0)()
+             or _DEFAULT_DIGIT_LIMIT)
+    size = max(top, len(digits))        # the digits of the numerator
+    if size > limit:
+        raise ValueError("a decimal of %d digits exceeds the limit of %d"
+                         % (size, limit))
     return False
+
+
+def _as_decimal(text: str) -> Decimal:
+    """A decimal string as the finite Decimal it denotes, read exactly, or
+    a ValueError.  Beyond the strings Fraction also refuses, Decimal
+    refuses only exponents past +-10^18, whose power of ten Fraction would
+    try to build."""
+    try:
+        x = Decimal(text)
+    except InvalidOperation:
+        x = None
+    if x is None or not x.is_finite():
+        raise ValueError("invalid literal for a decimal: %r" % text)
+    return x
 
 
 def _best_approximation(x, max_den: int) -> Fraction:
@@ -405,11 +407,16 @@ def _best_approximation(x, max_den: int) -> Fraction:
     if isinstance(x, float) or isinstance(x, Real) and not isinstance(
             x, Rational):
         x = Decimal(repr(float(x)))     # its exponent is within +-324
-    elif not isinstance(x, (Rational, Decimal, str)):
+    elif isinstance(x, Rational) or isinstance(x, str) and "/" in x:
+        x = Fraction(x)
+    elif isinstance(x, (Decimal, str)):
+        if isinstance(x, str):
+            x = _as_decimal(x)
+        if _decided_by_exponent(x, max_den):
+            return Fraction(0)
+    else:
         raise TypeError("not a real number: %s" % type(x).__name__)
-    elif not isinstance(x, Rational) and _decided_by_exponent(x, max_den):
-        return Fraction(0)
-    n, den = (x if isinstance(x, Decimal) else Fraction(x)).as_integer_ratio()
+    n, den = x.as_integer_ratio()
     if den <= max_den:
         return Fraction(n, den)
     # n/den is in lowest terms: q2 = den > max_den stops it before r = 0

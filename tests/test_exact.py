@@ -648,16 +648,30 @@ def test_reconstruct_rejects_what_is_not_a_real_number(value):
     (" 7.e-999999999 ", F(0)), ("0e-999999999", F(0)),
     ("0.000e999999999", F(0)), (Decimal("1e-999999999"), F(0)),
     (Decimal("-0E+999999999"), F(0)),
+    # underscores and non-ASCII digits, which Fraction reads too
+    ("1_0e-1000000000", F(0)), ("\u0661e-999999999", F(0)),
     ("1e999999999", ValueError), ("-2.5E+1000000000", ValueError),
-    (Decimal("7E+999999999"), ValueError)])
+    (Decimal("7E+999999999"), ValueError), ("1_0e+999999999", ValueError),
+    # more significant digits than the int-string limit
+    ("7" * 5000, ValueError), (Decimal("-1." + "3" * 5000), ValueError)],
+    ids=lambda v: "%.24s" % (v,))
 def test_reconstruct_decides_a_far_exponent_from_its_size(x, want):
     start = time.process_time()
     if want is ValueError:
-        with pytest.raises(ValueError, match="integer digits exceeds"):
+        with pytest.raises(ValueError, match="digits exceeds the limit"):
             rational_reconstruct(x, 10**12)
     else:
         assert rational_reconstruct(x, 10**12) == want
     assert time.process_time() - start < 1e-3
+
+
+@pytest.mark.parametrize("text", [
+    "inf", "-Infinity", "nan", "sNaN", "abc", "1e", "1.5/2",
+    # past Decimal's exponent range: Fraction would build 10^(10^19)
+    "1e9999999999999999999", "1e-9999999999999999999"])
+def test_reconstruct_refuses_a_string_that_is_not_a_finite_decimal(text):
+    with pytest.raises(ValueError):
+        rational_reconstruct(text)
 
 
 @seed(26)
@@ -698,9 +712,10 @@ def reference_digits(n):
                                F(7, 10**9000 + 3), F(-(10**20000) - 9),
                                F(3**9000, 2**20000)])
 def test_format_rational_prints_beyond_the_int_digit_limit(x):
-    limit = sys.get_int_max_str_digits()
+    # the int-string digit limit came with Python 3.10.7
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     want = reference_digits(abs(x.numerator))
     if x.denominator != 1:
         want += "/" + reference_digits(x.denominator)
     assert format_rational(x) == ("-" if x < 0 else "") + want
-    assert sys.get_int_max_str_digits() == limit
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
