@@ -147,7 +147,7 @@ class VerificationReport:
     psd_ranks: list                    # per block; None where not PSD
     psd_sources: list                  # per block; see `_psd_verdicts`
     lambdas: dict                      # model key -> Fraction
-    min_lambda: Fraction | None
+    min_lambda: Fraction
     negative_lambda_keys: list
     bad_family_ok: bool
     bad_family_violations: list        # (H key, model key, lambda)
@@ -453,7 +453,6 @@ def verify(cert: Certificate, table: CoefficientTable | None = None) -> Verifica
     verdicts, sources = _psd_verdicts(cert.blocks)
     psd_ok = [v.is_psd for v in verdicts]
     negative = sorted(key for key, lam in lambdas.items() if lam < 0)
-    min_lambda = min(lambdas.values()) if lambdas else None
 
     data = model_data()
     violations = [(hk, key, lambdas[key]) for key in data.keys
@@ -466,7 +465,7 @@ def verify(cert: Certificate, table: CoefficientTable | None = None) -> Verifica
         psd_ranks=[v.rank for v in verdicts],
         psd_sources=sources,
         lambdas=lambdas,
-        min_lambda=min_lambda,
+        min_lambda=min(lambdas.values()),
         negative_lambda_keys=negative,
         bad_family_ok=not violations,
         bad_family_violations=violations,
@@ -482,8 +481,7 @@ def report_text(report: VerificationReport) -> str:
         lines.append("PSD block=%d %s" % (r, "ok" if ok else "FAILED"))
     lines.append("PSD_RANKS " + " ".join("-" if rank is None else str(rank)
                                          for rank in report.psd_ranks))
-    if report.min_lambda is not None:
-        lines.append("MIN_LAMBDA " + format_rational(report.min_lambda))
+    lines.append("MIN_LAMBDA " + format_rational(report.min_lambda))
     lines.append("NEGATIVE_LAMBDAS %d" % len(report.negative_lambda_keys))
     for key in report.negative_lambda_keys:
         lines.append("NEGATIVE_LAMBDA model=%s %s"

@@ -37,11 +37,15 @@ def _stamp(inputs=()) -> list:
     return lines
 
 
+def _write(path, text: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _emit(lines, out_path=None):
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out_path, text)
     sys.stdout.write(text)
 
 
@@ -66,8 +70,7 @@ def cmd_enumerate(args) -> int:
         lines.append("")
     lines.append("count %d" % len(models))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write(args.out, "\n".join(lines) + "\n")
     print("models=%d polya=%d %s"
           % (len(models), expected, "OK" if len(models) == expected else "MISMATCH"))
     return 0 if len(models) == expected else 1
@@ -95,8 +98,7 @@ def cmd_extremal(args) -> int:
     tri = mono_triangles(G)["total"]
     formula = corollary_value(args.n)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(format_graph(G))
+        _write(args.out, format_graph(G))
     print("triangles=%d formula=%d %s"
           % (tri, formula, "OK" if tri == formula else "MISMATCH"))
     return 0 if tri == formula else 1
@@ -161,8 +163,7 @@ def cmd_sdp_round(args) -> int:
     solution = sdp_mod.parse_solution(args.solution)
     cert = sdp_mod.round_solution(solution, max_den=args.max_den)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(cert_mod.serialize_certificate(cert))
+        _write(args.out, cert_mod.serialize_certificate(cert))
     report = cert_mod.verify(cert)
     lines = _stamp([args.solution])
     lines.append("max_den=%d bound=%s" % (args.max_den,

@@ -92,16 +92,13 @@ def format_rational(x: Fraction) -> str:
 
 
 def _decimal_digits(n: int) -> str:
-    """str(n) for an int of any size: split at a power of ten near half its
-    digits until each part is below 640 digits, the least int-string digit
-    limit Python admits."""
+    """str(n) for an int of any size.  Up to 2,000 bits, about 602 digits,
+    below 640, the least int-string digit limit Python admits, it is
+    str(n), the faster; above, str(Decimal(n)), which is exact and ignores
+    that limit."""
     if n.bit_length() <= 2000:
         return str(n)
-    if n < 0:
-        return "-" + _decimal_digits(-n)
-    k = n.bit_length() * 3 // 20        # under half its digits: log10(2) > 0.3
-    high, low = divmod(n, 10**k)
-    return _decimal_digits(high) + _decimal_digits(low).zfill(k)
+    return str(Decimal(n))
 
 
 class SymMatrix:
@@ -359,7 +356,34 @@ def rational_reconstruct(x, max_den: int = DEFAULT_MAX_DEN) -> Fraction:
     """
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
-    return _best_approximation(x, max_den)
+    if isinstance(x, float) or isinstance(x, Real) and not isinstance(
+            x, Rational):
+        x = Decimal(repr(float(x)))     # its exponent is within +-324
+    elif isinstance(x, Rational) or isinstance(x, str) and "/" in x:
+        x = Fraction(x)
+    elif isinstance(x, (Decimal, str)):
+        if isinstance(x, str):
+            x = _as_decimal(x)
+        if _decided_by_exponent(x, max_den):
+            return Fraction(0)
+    else:
+        raise TypeError("not a real number: %s" % type(x).__name__)
+    n, den = x.as_integer_ratio()
+    if den <= max_den:
+        return Fraction(n, den)
+    # n/den is in lowest terms: q2 = den > max_den stops it before r = 0
+    p0, q0, p1, q1, d = 0, 1, 1, 0, den
+    a, r = divmod(n, d)
+    while (q2 := q0 + a * q1) <= max_den:
+        p0, p1, q0, q1 = p1, p0 + a * p1, q1, q2
+        n, d = d, r
+        a, r = divmod(n, d)
+    k = (max_den - q0) // q1
+    # p1/q1 is at distance d/(q1 den) from x; it wins, ties too, within
+    # half the 1/(q1 (q0 + k q1)) between it and the semiconvergent
+    if 2 * d * (q0 + k * q1) <= den:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
 
 
 def _decided_by_exponent(x: Decimal, max_den: int) -> bool:
@@ -400,35 +424,3 @@ def _as_decimal(text: str) -> Decimal:
     if x is None or not x.is_finite():
         raise ValueError("invalid literal for a decimal: %r" % text)
     return x
-
-
-def _best_approximation(x, max_den: int) -> Fraction:
-    """`rational_reconstruct` for max_den >= 1, on Python ints."""
-    if isinstance(x, float) or isinstance(x, Real) and not isinstance(
-            x, Rational):
-        x = Decimal(repr(float(x)))     # its exponent is within +-324
-    elif isinstance(x, Rational) or isinstance(x, str) and "/" in x:
-        x = Fraction(x)
-    elif isinstance(x, (Decimal, str)):
-        if isinstance(x, str):
-            x = _as_decimal(x)
-        if _decided_by_exponent(x, max_den):
-            return Fraction(0)
-    else:
-        raise TypeError("not a real number: %s" % type(x).__name__)
-    n, den = x.as_integer_ratio()
-    if den <= max_den:
-        return Fraction(n, den)
-    # n/den is in lowest terms: q2 = den > max_den stops it before r = 0
-    p0, q0, p1, q1, d = 0, 1, 1, 0, den
-    a, r = divmod(n, d)
-    while (q2 := q0 + a * q1) <= max_den:
-        p0, p1, q0, q1 = p1, p0 + a * p1, q1, q2
-        n, d = d, r
-        a, r = divmod(n, d)
-    k = (max_den - q0) // q1
-    # p1/q1 is at distance d/(q1 den) from x; it wins, ties too, within
-    # half the 1/(q1 (q0 + k q1)) between it and the semiconvergent
-    if 2 * d * (q0 + k * q1) <= den:
-        return Fraction(p1, q1)
-    return Fraction(p0 + k * p1, q0 + k * q1)

@@ -157,24 +157,27 @@ def _check_same_type(F: Flag, G: Flag):
         raise ValueError("flags must share the same labelled type")
 
 
+def _subflag_classes(H: Flag, m: int):
+    """The m-vertex subflags of H that hold its labels, tallied by key:
+    key -> [representative, count], and their total."""
+    rest = [v for v in range(H.model.n) if v not in H.theta]
+    classes: dict[bytes, list] = {}
+    total = 0
+    for extra in combinations(rest, m - H.type_size):
+        sub = _induced_flag(H.model, H.theta, list(H.theta) + list(extra))
+        classes.setdefault(sub.key(), [sub, 0])[1] += 1
+        total += 1
+    return classes, total
+
+
 def flag_density(F: Flag, G: Flag) -> Fraction:
     """Probability that a random |F|-superset of the labelled vertices of G
     induces a flag isomorphic to F.  Zero when |G| < |F|."""
     _check_same_type(F, G)
-    l, m = F.model.n, G.model.n
-    if m < l:
+    if G.model.n < F.model.n:
         return Fraction(0)
-    fk = F.key()
-    rest = [v for v in range(m) if v not in G.theta]
-    need = l - F.type_size
-    hits = 0
-    total = 0
-    for extra in combinations(rest, need):
-        total += 1
-        sub = _induced_flag(G.model, G.theta, list(G.theta) + list(extra))
-        if sub.key() == fk:
-            hits += 1
-    return Fraction(hits, total)
+    classes, total = _subflag_classes(G, F.model.n)
+    return Fraction(classes.get(F.key(), (None, 0))[1], total)
 
 
 def avg_coefficient(tau: ColouredGraph, K1: Flag, K2: Flag,
@@ -285,12 +288,7 @@ def verify_chain_rule(F: Flag, m: int, H: Flag) -> bool:
     """
     if not F.model.n <= m <= H.model.n:
         raise ValueError("need |F| <= m <= |H|")
-    lhs = flag_density(F, H)
-    rest = [v for v in range(H.model.n) if v not in H.theta]
-    classes: dict[bytes, list] = {}     # key -> [representative, count]
-    for extra in combinations(rest, m - F.type_size):
-        sub = _induced_flag(H.model, H.theta, list(H.theta) + list(extra))
-        classes.setdefault(sub.key(), [sub, 0])[1] += 1
-    total = math.comb(len(rest), m - F.type_size)
+    lhs = flag_density(F, H)          # first: it refuses another type
+    classes, total = _subflag_classes(H, m)
     return lhs == sum(flag_density(F, G) * Fraction(count, total)
                       for G, count in classes.values())

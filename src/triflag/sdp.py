@@ -25,13 +25,13 @@ from __future__ import annotations
 import decimal
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
-from .certificate import (NUM_FLAGS, Certificate, CertificateBlock,
-                          coefficient_table, load_shipped_certificate,
-                          model_data)
-from .exact import (DEFAULT_MAX_DEN, SymMatrix, _best_approximation,
-                    _parse_integer)
+from .certificate import (NUM_FLAGS, Certificate, coefficient_table,
+                          load_shipped_certificate, model_data)
+from .exact import (DEFAULT_MAX_DEN, SymMatrix, _parse_integer,
+                    rational_reconstruct)
 from .graphs import _open_text, _text_lines
 
 NUM_MODELS = 792
@@ -183,11 +183,10 @@ def round_solution(blocks, max_den: int = DEFAULT_MAX_DEN) -> Certificate:
         for i in range(NUM_FLAGS):
             for j in range(i, NUM_FLAGS):
                 try:
-                    rows[i][j] = rows[j][i] = _best_approximation(
+                    rows[i][j] = rows[j][i] = rational_reconstruct(
                         numeric[i][j], max_den)
                 except (ArithmeticError, TypeError, ValueError) as exc:
                     raise ValueError("block %d: entry (%d, %d): %s"
                                      % (b, i + 1, j + 1, exc)) from exc
-        out.append(CertificateBlock(tb.type_sigma, tb.vectors, tb.flags,
-                                    SymMatrix(rows)))
+        out.append(replace(tb, Q=SymMatrix(rows)))
     return Certificate(TARGET_BOUND, tuple(out))

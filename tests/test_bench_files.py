@@ -4,7 +4,10 @@ A summary holds, per workload and end-to-end metric, each side's median and
 inclusive quartiles over the untraced runs, the number of (parent, change)
 pairs, the pairs the change wins, the change of the medians relative to
 the parent's, and whether that change stays within the metric's bound in
-BENCHMARK.json, all rounded to four places.
+BENCHMARK.json, all rounded to four places.  BENCH_7.json took each change
+of the medians from the medians as rounded, and adds an entry
+"<workload>-traced": per side and layer, that layer's value in each traced
+run of the workload, by seed.
 """
 
 import json
@@ -16,6 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = {m["name"]: m for m in json.loads(
     (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+ROUNDED_MEDIANS = {"BENCH_7.json"}
 
 
 def quartiles(values):
@@ -24,7 +28,7 @@ def quartiles(values):
             "q3": round(q3, 4)}
 
 
-def summary(runs):
+def summary(runs, rounded_medians=False):
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload
@@ -38,8 +42,10 @@ def summary(runs):
             parent = [sides["parent"][s][name] for s in seeds]
             change = [sides["change"][s][name] for s in seeds]
             sign = 1 if metric["better"] == "lower" else -1
-            relative = (statistics.median(change) - statistics.median(parent)) \
-                / statistics.median(parent)
+            medians = [statistics.median(parent), statistics.median(change)]
+            if rounded_medians:
+                medians = [round(m, 4) for m in medians]
+            relative = (medians[1] - medians[0]) / medians[0]
             out[workload][name] = {
                 "parent": quartiles(parent), "change": quartiles(change),
                 "pairs": len(seeds),
@@ -52,7 +58,23 @@ def summary(runs):
     return out
 
 
-@pytest.mark.parametrize("name", ["BENCH_12.json", "BENCH_26.json"])
+def traced(runs, workload, layers):
+    """Per side, each of `layers`' values in the traced runs of
+    `workload`, by seed, rounded to four places."""
+    mine = sorted((r for r in runs if r["workload"] == workload
+                   and r["trace"] == 1), key=lambda r: r["seed"])
+    return {side: {name: [round(r["metrics"][name], 4) for r in mine
+                          if r["side"] == side] for name in layers}
+            for side in ("parent", "change")}
+
+
+@pytest.mark.parametrize(
+    "name", [path.name for path in sorted(ROOT.glob("BENCH_*.json"))])
 def test_summary_is_recomputed_from_the_runs(name):
     bench = json.loads((ROOT / name).read_text())
-    assert summary(bench["runs"]) == bench["summary"]
+    want = dict(bench["summary"])
+    for key in [key for key in want if key.endswith("-traced")]:
+        entry = want.pop(key)
+        assert traced(bench["runs"], key[:-len("-traced")],
+                      entry["parent"]) == entry
+    assert summary(bench["runs"], name in ROUNDED_MEDIANS) == want

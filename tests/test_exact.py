@@ -708,14 +708,62 @@ def reference_digits(n):
     return "".join(reversed(chunks)).lstrip("0") or "0"
 
 
+def reference_text(x):
+    """x as format_rational prints it, from `reference_digits`."""
+    text = reference_digits(abs(x.numerator))
+    if x.denominator != 1:
+        text += "/" + reference_digits(x.denominator)
+    return ("-" if x < 0 else "") + text
+
+
 @pytest.mark.parametrize("x", [F(10**5000 + 1, 3), F(-(10**5000 + 1), 3),
                                F(7, 10**9000 + 3), F(-(10**20000) - 9),
                                F(3**9000, 2**20000)])
 def test_format_rational_prints_beyond_the_int_digit_limit(x):
     # the int-string digit limit came with Python 3.10.7
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    want = reference_digits(abs(x.numerator))
-    if x.denominator != 1:
-        want += "/" + reference_digits(x.denominator)
-    assert format_rational(x) == ("-" if x < 0 else "") + want
+    assert format_rational(x) == reference_text(x)
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-string digit limit before Python 3.10.7")
+@pytest.mark.parametrize("x", [F(10**640 + 1, 10**640 - 1),
+                               F(-(10**640 - 1), 10**640 + 1)]
+                         + [F(2**bits - 1, 2**bits + 1) for bits in (
+                             1990, 1999, 2000, 2001, 2060, 2125, 2126, 2130)],
+                         ids=lambda x: "%s%d/%d-bits" % (
+                             "-" if x < 0 else "", x.numerator.bit_length(),
+                             x.denominator.bit_length()))
+def test_format_rational_prints_across_its_switch_at_the_least_limit(x):
+    # 640 digits, the least limit Python admits, is about 2,126 bits: str()
+    # up to the switch at 2,000 bits stays below it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert format_rational(x) == reference_text(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("limit", ["off", "absent"])
+def test_reconstruct_reads_the_default_digit_limit_where_none_is_set(
+        limit, monkeypatch):
+    # off: set to 0; absent: as before Python 3.10.7
+    if limit == "absent":
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        saved = None
+    elif not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-string digit limit before Python 3.10.7")
+    else:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(ValueError, match="^a decimal of 4301 digits "
+                                             "exceeds the limit of 4300$"):
+            rational_reconstruct(Decimal("1" * 4301), 10)
+        assert rational_reconstruct(Decimal("1" * 4300), 10) == \
+            (10**4300 - 1) // 9
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)

@@ -117,6 +117,17 @@ def test_flag_density_basics():
         flag_density(f111, Flag(mono_kn(5, 2), (0, 1, 2)))
 
 
+def test_flags_over_another_labelled_type_are_refused():
+    # both refuse before any subflag tally
+    F = flag_from_vector(SIGMA1, (1, 2, 3))
+    H = Flag(mono_kn(5, 3), (0, 1, 2))          # over SIGMA10
+    for call in (lambda: flag_density(F, H),
+                 lambda: verify_chain_rule(F, 4, H)):
+        with pytest.raises(ValueError, match="^flags must share the same "
+                                             "labelled type$"):
+            call()
+
+
 def test_avg_coefficient_examples():
     f111 = flag_from_vector(SIGMA1, (1, 1, 1))
     assert avg_coefficient(SIGMA1, f111, f111, mono_kn(5, 1)) == 1
