@@ -347,8 +347,11 @@ def lambda_vector(cert: Certificate, table: CoefficientTable) -> dict:
     the ten blocks, so every partial sum is below 120 * max|scaled q|: the
     pass runs in int64 when that is below 2**63, checked in Python
     integers, and otherwise the same pass runs on Python integers
-    (dtype=object).  Raises ValueError, naming the block, when the table
-    was built for another flag layout."""
+    (dtype=object).  Raises ValueError when the table was built for
+    another number of blocks or, naming the block, another flag layout."""
+    if len(table.counts) != len(cert.blocks):
+        raise ValueError("the coefficient table has %d blocks, the certificate"
+                         " %d" % (len(table.counts), len(cert.blocks)))
     for r, (block, counts) in enumerate(zip(cert.blocks, table.counts), 1):
         if (counts.type_sigma != block.type_sigma
                 or counts.vectors != block.vectors):
@@ -371,24 +374,22 @@ def lambda_vector(cert: Certificate, table: CoefficientTable) -> dict:
 
 
 # colour maps pi and vertex maps tau, as tuples indexed by colour - 1 and by
-# vertex; the edges of a 3-vertex type in listing order
+# vertex
 _COLOUR_MAPS = tuple(permutations((1, 2, 3)))
 _VERTEX_MAPS = tuple(permutations(range(3)))
-_TYPE_EDGES = ((0, 1), (0, 2), (1, 2))
 
 
 @cache          # one per labelled 3-vertex type, 27 at most
 def _type_images(target: ColouredGraph) -> dict:
     """Listing -> the (pi, tau) that carry the labelled 3-vertex type
     `target` onto the type with that listing, whose colour(u, w) is
-    pi(target colour(tau(u), tau(w)))."""
-    colour = target.matrix()
+    pi(target colour(tau(u), tau(w))), the listing of `target.relabel(tau)`
+    mapped by pi."""
     images = {}
     for pi in _COLOUR_MAPS:
         for tau in _VERTEX_MAPS:
-            images.setdefault(bytes(pi[colour[tau[u]][tau[w]] - 1]
-                                    for u, w in _TYPE_EDGES), []).append(
-                (pi, tau))
+            listing = bytes(pi[c - 1] for c in target.relabel(tau).entries)
+            images.setdefault(listing, []).append((pi, tau))
     return images
 
 

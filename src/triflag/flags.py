@@ -11,7 +11,7 @@ The certificate's coefficients are products of 4-vertex flags over
 3-vertex types on 5-vertex models.  `triangle_pair_counts` counts them for
 all 27 labelled types and a whole batch of models in one numpy pass: a
 labelled type and a flag are each coded by their three colours, and one
-gather over the 60 injections of a labelled triangle reads every
+gather over the 120 relabellings of `_relabelling_index(5)` reads every
 injection's type and its two flags; `avg_coefficient` is the definition
 they are tested against.
 """
@@ -24,7 +24,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .graphs import (ColouredGraph, SizeLimitError, _pair_table,
+from .graphs import (ColouredGraph, SizeLimitError, _relabelling_index,
                      enumerate_models)
 
 def ten_types() -> list[ColouredGraph]:
@@ -229,37 +229,21 @@ def _colour_code(colours) -> int:
     return 9 * c1 + 3 * c2 + c3 - 13
 
 
-def _injection_positions() -> np.ndarray:
-    """(60, 9) listing positions, one row per injection (a, b, c) of a
-    labelled triangle into 5 vertices, in `permutations` order, with x < y
-    the other two vertices: the pairs ab, ac, bc, then xa, xb, xc, then
-    ya, yb, yc."""
-    pos = _pair_table(5)
-    rows = []
-    for a, b, c in permutations(range(5), 3):
-        x, y = (v for v in range(5) if v not in (a, b, c))
-        rows.append([pos[a, b], pos[a, c], pos[b, c]]
-                    + [pos[u, w] for u in (x, y) for w in (a, b, c)])
-    return np.array(rows)
-
-
-_INJECTIONS = _injection_positions()
-
-
 def triangle_pair_counts(flats: np.ndarray):
     """Pair counts of all 27 labelled 3-vertex types over a batch of
     5-vertex models, in one numpy pass.
 
     `flats` is a (g, 10) uint8 batch of listings with colours in 1..3.  One
-    gather over the 60 injections (a, b, c) of a labelled triangle gives
-    each injection's type code (`_colour_code` of the colours of ab, ac,
-    bc) and the flag codes of the two other vertices x < y (the colours
-    they send to a, b, c).  Returns (cells, counts, valid):
+    gather reads each model under the 120 relabellings (a, b, c, x, y) of
+    `_relabelling_index(5)`: listing columns 0, 1, 4 (ab, ac, bc) give the
+    injection's type code (`_colour_code`), columns 2, 5, 7 and 3, 6, 8 the
+    flag codes of x and y.  Returns (cells, counts, valid):
 
       * cells: sorted distinct codes ((t * g + row) * 27 + i) * 27 + j;
       * counts: how many (injection, split) outcomes of type t in that row
-        induce flags i and j (each outcome has probability 1/120); every
-        injection adds both (i, j) and (j, i), so the counts are symmetric;
+        induce flags i and j (each outcome has probability 1/120); each
+        injection is two relabellings, one per order of x and y, adding
+        (i, j) and (j, i), so the counts are symmetric;
       * valid: a (27, g) array, valid[t, row] the injections of type t.
     """
     flats = np.asarray(flats)
@@ -268,14 +252,13 @@ def triangle_pair_counts(flats: np.ndarray):
     if flats.size and not (flats.min() >= 1 and flats.max() <= 3):
         raise ValueError("colours must be in 1..3")
     g = len(flats)
-    c = flats[:, _INJECTIONS].reshape(g, 60, 3, 3)
+    columns = _relabelling_index(5)[:, [0, 1, 4, 2, 5, 7, 3, 6, 8]]
+    c = flats[:, columns].reshape(g, 120, 3, 3)
     codes = (9 * c[..., 0] + 3 * c[..., 1] + c[..., 2] - 13).astype(np.int64)
     t, fx, fy = codes[:, :, 0], codes[:, :, 1], codes[:, :, 2]
     typed = t * g + np.arange(g)[:, None]
-    cells, counts = np.unique(np.concatenate(
-        [(typed * 27 + fx) * 27 + fy, (typed * 27 + fy) * 27 + fx],
-        axis=None), return_counts=True)
-    valid = np.bincount(typed.ravel(), minlength=27 * g).reshape(27, g)
+    cells, counts = np.unique((typed * 27 + fx) * 27 + fy, return_counts=True)
+    valid = np.bincount(typed.ravel(), minlength=27 * g).reshape(27, g) // 2
     return cells, counts, valid
 
 

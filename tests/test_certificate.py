@@ -443,6 +443,25 @@ def test_a_table_of_another_layout_is_refused(shipped_cert, shipped_table):
                 check(cert, shipped_table)
 
 
+def test_a_table_with_fewer_blocks_is_refused(shipped_cert):
+    # with block 10 scaled by 1000 the certificate fails on its own table;
+    # its table cut to nine blocks would drop block 10 from every lambda
+    # and give a false VERIFIED
+    blocks = list(shipped_cert.blocks)
+    blocks[9] = replace(blocks[9], Q=SymMatrix(
+        [[1000 * x for x in row] for row in blocks[9].Q.rows]))
+    cert = Certificate(shipped_cert.bound - Fraction(24, 125), tuple(blocks))
+    table = coefficient_table(cert)
+    report = verify(cert, table)
+    assert not report.verified and len(report.negative_lambda_keys) == 6
+    short = replace(table, counts=table.counts[:9],
+                    valid_injections=table.valid_injections[:9])
+    for check in (lambda_vector, verify):
+        with pytest.raises(ValueError,
+                           match="table has 9 blocks, the certificate 10"):
+            check(cert, short)
+
+
 def test_bad_family_containment_matches_per_subset_oracle():
     bad_keys = [canonical_key(H) for H in bad_family()]
     want = {}

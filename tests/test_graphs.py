@@ -127,6 +127,27 @@ def test_pair_table_matches_pair_index():
             assert table[i, j] == table[j, i] == _pair_index(n, i, j)
 
 
+def test_pair_tables_of_eighteen_sizes_stay_cached():
+    # a run cycling through the vertex counts 8..25 rebuilds no table on
+    # its second pass
+    for n in range(8, 26):
+        _pair_table(n)
+    before = _pair_table.cache_info()
+    for n in range(8, 26):
+        _pair_table(n)
+    assert _pair_table.cache_info().misses == before.misses
+
+
+def test_relabel_refuses_a_non_permutation():
+    G = ColouredGraph(3, 3, (1, 2, 3))
+    # H[0][1] = G[2][0], H[0][2] = G[2][1], H[1][2] = G[0][1]
+    assert G.relabel((2, 0, 1)) == ColouredGraph(3, 3, (2, 3, 1))
+    assert G.relabel(iter((0, 1, 2))) == G
+    for perm in [(0, 1, 2, 3), (0, 1), (0, 1, 5), (0, 0, 1), (-1, 0, 1)]:
+        with pytest.raises(ValueError, match="not a permutation of range"):
+            G.relabel(perm)
+
+
 def test_all_red_triangle_key_is_labelling_invariant():
     keys = {canonical_key(mono_kn(3, 1).relabel(p))
             for p in [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)]}
