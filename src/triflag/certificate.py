@@ -42,12 +42,13 @@ from fractions import Fraction
 from functools import cache
 from importlib import resources
 from itertools import permutations
-from operator import itemgetter
+from operator import itemgetter, neg
 
 import numpy as np
 
-from .exact import (PsdVerdict, SymMatrix, WitnessError, _parse_integer,
-                    format_rational, parse_rational, psd_check)
+from .exact import (PsdVerdict, SymMatrix, WitnessError, _integer_form,
+                    _parse_integer, format_rational, parse_rational,
+                    psd_check)
 from .extremal import build_gex
 from .flags import _colour_code, flag_from_vector, triangle_pair_counts
 from .graphs import (ColouredGraph, _model_keys, _subset_classes, bad_family,
@@ -400,8 +401,89 @@ def _flag_maps(a: CertificateBlock, b: CertificateBlock):
     maps = _type_images(b.type_sigma).get(a.type_sigma.entries)
     if maps:
         index = {v: i for i, v in enumerate(a.vectors)}
-        for pi, tau in maps:
-            yield [index[tuple(pi[v[t] - 1] for t in tau)] for v in b.vectors]
+        for pi, (t0, t1, t2) in maps:
+            yield [index[pi[v[t0] - 1], pi[v[t1] - 1], pi[v[t2] - 1]]
+                   for v in b.vectors]
+
+
+def _is_image(rows, p, source) -> bool:
+    """Whether rows[i][j] == source[p[i]][p[j]] on every entry, compared a
+    whole row at a time: a tuple comparison tries identity first, and a
+    loaded certificate shares one Fraction between equal tokens."""
+    return all(itemgetter(*p)(source[k]) == row for k, row in zip(p, rows))
+
+
+def _invariant_orbits(block: CertificateBlock) -> list | None:
+    """The orbits on block's flags, each in ascending order and listed by
+    their least flag, of the permutations p proposed by
+    `_flag_maps(block, block)` that keep Q, Q[i][j] = Q[p[i]][p[j]] on every
+    entry, compared a whole row at a time; None when no p but the identity
+    keeps Q.  The maps only propose p; the equality test is the proof."""
+    rows = block.Q.rows
+    label = list(range(NUM_FLAGS))        # flag -> least flag of its orbit
+    for p in _flag_maps(block, block):
+        # a p that keeps every flag in its orbit so far adds nothing
+        if any(label[i] != label[k] for i, k in enumerate(p)) and \
+                _is_image(rows, p, rows):
+            for i, k in enumerate(p):
+                a, c = sorted((label[i], label[k]))
+                if a != c:
+                    label = [a if x == c else x for x in label]
+    if label == list(range(NUM_FLAGS)):
+        return None
+    orbits = {}
+    for i, a in enumerate(label):
+        orbits.setdefault(a, []).append(i)
+    return list(orbits.values())
+
+
+def _combined(columns, rows) -> list:
+    """Per column t, the sum of sign * rows[i] over the (i, sign) of t."""
+    return [tuple(map(sum, zip(*(rows[i] if sign > 0 else map(neg, rows[i])
+                                 for i, sign in t)))) for t in columns]
+
+
+def _reduced_verdict(block: CertificateBlock, b: int) -> PsdVerdict:
+    """`psd_check`'s verdict on block b's Q, and its rank, taken on the two
+    parts of a congruence that the block's own symmetry makes block
+    diagonal (Gatermann and Parrilo's reduction, done exactly).
+
+    With the orbits of `_invariant_orbits`, the columns of the 0/+-1 matrix
+    T are the orbit sums u_O, then e_f - e_k for each orbit O, its least
+    flag f and each other flag k of O.  Q is invariant under the kept
+    permutations, so Q u_O is constant on every orbit and T^T Q T is
+    exactly diag(Q_0, Q_1).  T is invertible, so Q is PSD exactly when
+    both parts are, with rank r_0 + r_1, and a witness w of a part lifts to
+    the witness T w of Q, re-checked exactly here.  Rows of Q in one orbit
+    are permutations of each other and share their row scale s, so the
+    integer form of a part is read straight off Q's: its row for a column
+    t is the combination of Q.num's rows that t makes, over the scale s of
+    t's orbit.  A block that only the identity keeps goes whole to
+    `psd_check`."""
+    Q = block.Q
+    orbits = _invariant_orbits(block)
+    if orbits is None:
+        return psd_check(Q)
+    rank = 0
+    for columns in ([[(i, 1) for i in orbit] for orbit in orbits],
+                    [((orbit[0], 1), (k, -1))
+                     for orbit in orbits for k in orbit[1:]]):
+        half = list(zip(*_combined(columns, Q.num)))     # Q.num T, by rows
+        num = tuple(zip(*_combined(columns, half)))
+        verdict = psd_check(_integer_form(
+            num, tuple(Q.scale[t[0][0]] for t in columns)))
+        if not verdict.is_psd:
+            witness = [Fraction(0)] * NUM_FLAGS
+            for w, t in zip(verdict.witness, columns):
+                for i, sign in t:
+                    witness[i] += sign * w
+            if not Q.quadratic_form(witness) < 0:
+                raise WitnessError("block %d: the lifted witness of a "
+                                   "symmetry-reduced part is not negative"
+                                   % b)
+            return PsdVerdict(is_psd=False, witness=tuple(witness))
+        rank += verdict.rank
+    return PsdVerdict(is_psd=True, rank=rank)
 
 
 def _psd_verdicts(blocks) -> tuple:
@@ -414,15 +496,16 @@ def _psd_verdicts(blocks) -> tuple:
     on every entry, compared a whole row at a time: then Q = P^T Q_a P, so
     Q is PSD exactly when Q_a is, with the same rank, and a witness v of
     Q_a gives the witness v o p of Q, re-checked exactly here.  The maps
-    only propose p; the equality test is the proof."""
+    only propose p; the equality test is the proof.  A block that takes no
+    verdict is eliminated on its symmetry-reduced parts by
+    `_reduced_verdict`."""
     verdicts, sources, eliminated = [], [], []
     for b, block in enumerate(blocks, start=1):
         rows = block.Q.rows
         for r in eliminated:
             a, verdict = blocks[r], verdicts[r]
             p = next((p for p in _flag_maps(a, block)
-                      if all(itemgetter(*p)(a.Q.rows[k]) == row
-                             for k, row in zip(p, rows))), None)
+                      if _is_image(rows, p, a.Q.rows)), None)
             if p is None:
                 continue
             if verdict.is_psd:       # a's pivot rows factor Q_a, not Q
@@ -439,7 +522,7 @@ def _psd_verdicts(blocks) -> tuple:
             break
         else:
             eliminated.append(b - 1)
-            verdicts.append(psd_check(block.Q))
+            verdicts.append(_reduced_verdict(block, b))
             sources.append(None)
     return verdicts, sources
 

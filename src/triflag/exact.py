@@ -162,6 +162,17 @@ class SymMatrix:
         return total / (s * s)
 
 
+def _integer_form(num: tuple, scale: tuple) -> SymMatrix:
+    """The symmetric matrix with entries num[i][j] / scale[i], held by that
+    integer form alone, which is all `psd_check` reads: a SymMatrix without
+    its Fraction `rows`, for a caller that has built the integers itself.
+    Neither symmetry nor scale[i] > 0 is checked."""
+    M = object.__new__(SymMatrix)
+    for name, value in (("dim", len(num)), ("num", num), ("scale", scale)):
+        object.__setattr__(M, name, value)
+    return M
+
+
 @dataclass(frozen=True)
 class LdlFactorization:
     """M = L diag(d) L^T with L unit lower-triangular."""
@@ -189,7 +200,7 @@ class PsdVerdict:
     is_psd: bool
     witness: tuple | None = None        # rational v with v^T M v < 0
     rank: int | None = None             # nonzero pivots, when PSD
-    _pivots: tuple | None = field(default=None, repr=False)  # (A, scale)
+    _pivots: tuple | None = field(default=None, repr=False)  # (A, scale, g)
 
     def __bool__(self):
         return self.is_psd
@@ -216,36 +227,41 @@ def _exact_quotients(values: list, den: int) -> list:
 def _eliminate(M: SymMatrix):
     """Run pivot-free symmetric elimination of M.
 
-    Returns (A, scale, fail).  fail is None when the elimination ran to
+    Returns (A, scale, g, fail).  fail is None when the elimination ran to
     completion with every pivot >= 0, so that M is PSD; otherwise it is
     (step, kind, row) with kind in {"negative", "zero_pivot"}; for a zero
     pivot, row is an index below the pivot with a nonzero residual entry.
 
-    The elimination is Bareiss's, on the integer matrix A = S M S with
+    The elimination is Bareiss's, on the integer matrix A = S M S / g with
     S = diag(s_i), s_i = M.scale[i], built from M's integer form as
-    A_ij = M.num[i][j] s_j (one lcm for the whole matrix can have hundreds
-    of digits).  After the step with pivot p, the rows below hold p times
-    the Schur complement, so every division by the previous nonzero pivot
-    p' is exact.  A zero pivot with a zero remaining row is skipped and
-    leaves the matrix and p' alone.  Row j of the returned A, from column
-    j on, is the pivot row of step j, for every step up to the failed one;
-    `psd_check` back-substitutes a NotPSD witness over these rows, and
-    `_factors` reads the rational factors of a PSD M from them:
-    d_j = p / (p' s_j^2) and L_ij = A_ji s_j / (p s_i).
+    A_ij = M.num[i][j] s_j / g, where g is the gcd of those products, or 1
+    when all are zero (one lcm for the whole matrix can have hundreds of
+    digits, and dividing by g keeps the pivots' minors short).  After the
+    step with pivot p, the rows below hold p times the Schur complement, so
+    every division by the previous nonzero pivot p' is exact.  A zero pivot
+    with a zero remaining row is skipped and leaves the matrix and p'
+    alone.  Row j of the returned A, from column j on, is the pivot row of
+    step j, for every step up to the failed one; `psd_check`
+    back-substitutes a NotPSD witness over these rows, and `_factors` reads
+    the rational factors of a PSD M from them: d_j = g p / (p' s_j^2) and
+    L_ij = A_ji s_j / (p s_i).
     """
     n = M.dim
     scale = M.scale
     A = [[x * s for x, s in zip(row, scale)] for row in M.num]
+    g = math.gcd(*(x for row in A for x in row)) or 1
+    if g > 1:
+        A = [[x // g for x in row] for row in A]
     prev = 1
     for j in range(n):
         Aj = A[j]
         piv = Aj[j]
         if piv < 0:
-            return A, scale, (j, "negative", j)
+            return A, scale, g, (j, "negative", j)
         if piv == 0:
             for i in range(j + 1, n):
                 if Aj[i]:
-                    return A, scale, (j, "zero_pivot", i)
+                    return A, scale, g, (j, "zero_pivot", i)
             continue
         for i in range(j + 1, n):
             a = Aj[i]
@@ -253,10 +269,10 @@ def _eliminate(M: SymMatrix):
             Ai[i:] = _exact_quotients(
                 [piv * x - a * y for x, y in zip(Ai[i:], Aj[i:])], prev)
         prev = piv
-    return A, scale, None
+    return A, scale, g, None
 
 
-def _factors(A, scale):
+def _factors(A, scale, g):
     """The rational (L, diag) with M = L diag(diag) L^T of a completed
     elimination, read as `_eliminate`'s docstring says; PSD verdicts only."""
     n = len(A)
@@ -268,7 +284,7 @@ def _factors(A, scale):
         piv = Aj[j]
         if not piv:
             continue
-        diag[j] = Fraction(piv, prev * scale[j] ** 2)
+        diag[j] = Fraction(g * piv, prev * scale[j] ** 2)
         for i in range(j + 1, n):
             if Aj[i]:
                 L[i][j] = Fraction(Aj[i] * scale[j], piv * scale[i])
@@ -311,26 +327,26 @@ def psd_check(M: SymMatrix) -> PsdVerdict:
 
     Unless the float step proposes it, a witness v = S x comes from the
     failed elimination (step, kind, row): x[row] = 1 / s_row, at a zero pivot
-    x[step] = -(A_rr + p' s_row^2) / (2 A_step,row s_row) with p' the last
+    x[step] = -(g A_rr + p' s_row^2) / (2 g A_step,row s_row) with p' the last
     nonzero pivot (or 1), and x[m] = -sum_{l>m} A_ml x[l] / A_mm bottom up on
     the earlier nonzero pivots.  So (A x)_m = 0 there, and v^T M v is the
     Schur form on (v_step, v_row): negative, and -1 at a zero pivot."""
     witness = _proposed_witness(M)
     if witness is not None:
         return PsdVerdict(is_psd=False, witness=witness)
-    A, scale, fail = _eliminate(M)
+    A, scale, g, fail = _eliminate(M)
     n = M.dim
     if fail is None:
         return PsdVerdict(is_psd=True,
                           rank=sum(1 for j in range(n) if A[j][j]),
-                          _pivots=(tuple(map(tuple, A)), scale))
+                          _pivots=(tuple(map(tuple, A)), scale, g))
     step, kind, row = fail
     prev = next((A[m][m] for m in reversed(range(step)) if A[m][m]), 1)
-    c = 2 * A[step][row] if kind == "zero_pivot" else 1
+    c = 2 * g * A[step][row] if kind == "zero_pivot" else 1
     y = [0] * n             # prev c s_row x: integral, by Cramer's rule
     y[row] = prev * c
     if kind == "zero_pivot":
-        y[step] = -prev * (A[row][row] + prev * scale[row] ** 2)
+        y[step] = -prev * (g * A[row][row] + prev * scale[row] ** 2)
     for m in reversed(range(step)):
         if A[m][m]:
             y[m], = _exact_quotients(

@@ -698,18 +698,123 @@ def test_a_changed_image_block_is_eliminated_itself(shipped_cert):
                                                        direct.rank)
 
 
+def first_part_of_dim(dim, verdict):
+    """A `psd_check` stand-in that gives `verdict` for the first
+    symmetry-reduced part of `dim` rows it meets, and checks all else."""
+    psd_check = cert_mod.psd_check
+    met = []
+
+    def check(M):
+        if M.dim == dim and not hasattr(M, "rows") and not met:
+            met.append(M)
+            return verdict
+        return psd_check(M)
+    return check
+
+
 def test_a_permuted_witness_that_fails_its_recheck_raises(shipped_cert):
     # a proposal is only a proposal: a witness that does not re-check on
-    # its own block is an internal fault, never a verdict
+    # its own block is an internal fault, never a verdict.  The fake enters
+    # through block 2's first part (block 1's parts have 10 and 17 rows,
+    # block 2's 18 and 9), and block 2's own re-check is made to accept it,
+    # so only block 6's re-check of its permuted copy can refuse it
     cert = dict(orbit_cases(shipped_cert))["negated-2-6"]
-    fake = cert_mod.PsdVerdict(is_psd=False, witness=(0,) * 27)
-    psd_check = cert_mod.psd_check
-    with mock.patch.object(
-            cert_mod, "psd_check", side_effect=lambda Q: fake
-            if Q is cert.blocks[1].Q else psd_check(Q)):
+    fake = cert_mod.PsdVerdict(is_psd=False, witness=(0,) * 18)
+    form = SymMatrix.quadratic_form
+    with mock.patch.object(cert_mod, "psd_check",
+                           side_effect=first_part_of_dim(18, fake)), \
+            mock.patch.object(SymMatrix, "quadratic_form", autospec=True,
+                              side_effect=lambda M, v: Fraction(-1)
+                              if M is cert.blocks[1].Q else form(M, v)):
         with pytest.raises(cert_mod.WitnessError,
                            match="^block 6: .* of block 2 "):
             cert_mod._psd_verdicts(cert.blocks)
+
+
+def test_a_lifted_witness_that_fails_its_recheck_raises(shipped_cert):
+    # block 1's parts have 10 and 17 rows: a zero witness of its first part
+    # lifts to the zero vector, which its re-check on Q must refuse
+    fake = cert_mod.PsdVerdict(is_psd=False, witness=(0,) * 10)
+    with mock.patch.object(cert_mod, "psd_check",
+                           side_effect=first_part_of_dim(10, fake)):
+        with pytest.raises(cert_mod.WitnessError,
+                           match="^block 1: the lifted witness "):
+            cert_mod._psd_verdicts(shipped_cert.blocks)
+
+
+def symmetry_broken(cert, r=1):
+    """`cert` with one entry pair of block r + 1's Q nudged, at a flag in a
+    two-flag orbit of its symmetry against a flag its symmetry fixes, so
+    that no flag permutation but the identity keeps it."""
+    orbits = cert_mod._invariant_orbits(cert.blocks[r])
+    i = next(o[0] for o in orbits if len(o) > 1)
+    j = next(o[0] for o in orbits if len(o) == 1)
+
+    def nudged(rows):
+        rows = [list(row) for row in rows]
+        rows[i][j] += Fraction(1, 10**6)
+        rows[j][i] = rows[i][j]
+        return rows
+    return with_blocks(cert, {r: nudged})
+
+
+def test_reduced_verdicts_match_psd_check_on_every_block(shipped_cert):
+    # each block's verdict on its symmetry-reduced parts, against a direct
+    # psd_check of the whole block; a block whose symmetry is broken goes
+    # whole to psd_check
+    cases = orbit_cases(shipped_cert)
+    cases.append(("symmetry-broken-2", symmetry_broken(shipped_cert)))
+    sizes = []
+    for name, cert in cases:
+        for b, block in enumerate(cert.blocks, start=1):
+            orbits = cert_mod._invariant_orbits(block)
+            with mock.patch.object(cert_mod, "psd_check",
+                                   wraps=cert_mod.psd_check) as spy:
+                verdict = cert_mod._reduced_verdict(block, b)
+            checked = [call.args[0] for call in spy.call_args_list]
+            if orbits is None:
+                assert checked == [block.Q], (name, b)
+            else:
+                k = len(orbits)
+                assert [M.dim for M in checked] in ([k], [k, 27 - k]), \
+                    (name, b)
+            direct = cert_mod.psd_check(block.Q)
+            assert (verdict.is_psd, verdict.rank) == (direct.is_psd,
+                                                       direct.rank), (name, b)
+            if not verdict.is_psd:
+                assert flag_form(block.Q.rows, verdict.witness) < 0, (name, b)
+            if name == "shipped":
+                sizes.append(None if orbits is None else len(orbits))
+    assert sizes == [10, 18, 18, 18, 11, 18, 10, 18, 18, 10]
+    broken = symmetry_broken(shipped_cert).blocks[1]
+    assert cert_mod._invariant_orbits(broken) is None
+
+
+def test_the_parts_are_the_congruence_of_the_whole_block(shipped_cert):
+    # with T = [orbit sums | e_first - e_other], T^T Q T is diag(Q_0, Q_1),
+    # the parts psd_check is given, rebuilt here in Fractions
+    block = shipped_cert.blocks[4]
+    orbits = cert_mod._invariant_orbits(block)
+    columns = [{i: 1 for i in o} for o in orbits]
+    columns += [{o[0]: 1, k: -1} for o in orbits for k in o[1:]]
+    rows = block.Q.rows
+    congruent = [[sum(s * rows[i][j] * t for i, s in c.items()
+                      for j, t in d.items()) for d in columns]
+                 for c in columns]
+    k = len(orbits)
+    assert (k, len(columns) - k) == (11, 16)
+    assert all(congruent[a][c] == 0 for a in range(k)
+               for c in range(k, 27))
+    with mock.patch.object(cert_mod, "psd_check",
+                           wraps=cert_mod.psd_check) as spy:
+        cert_mod._reduced_verdict(block, 5)
+    parts = [call.args[0] for call in spy.call_args_list]
+    assert [M.dim for M in parts] == [k, 27 - k]
+    for M, lo in zip(parts, (0, k)):
+        for a in range(M.dim):
+            for c in range(M.dim):
+                assert Fraction(M.num[a][c], M.scale[a]) == \
+                    congruent[lo + a][lo + c]
 
 
 def test_a_verdict_with_huge_lambdas_is_printed(shipped_cert, shipped_table):

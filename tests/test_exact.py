@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import time
 from dataclasses import replace
@@ -142,7 +143,7 @@ def test_ldl_zero_pivot_nonzero_row():
     verdict = psd_check(m)
     assert not verdict.is_psd
     assert verdict.factorization is None
-    assert exact._eliminate(m)[2] == (0, "zero_pivot", 1)
+    assert exact._eliminate(m)[3] == (0, "zero_pivot", 1)
 
 
 def test_psd_identity_and_negative():
@@ -293,14 +294,34 @@ def test_quadratic_form_matches_fraction_oracle(case):
 @settings(max_examples=300, deadline=None)
 @given(rational_symmetric())
 def test_integer_elimination_matches_fraction_oracle(rows):
-    m = SymMatrix(rows)
+    assert_elimination_matches_fraction_oracle(SymMatrix(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_symmetric(),
+       st.sampled_from([1009, 10**9 + 7, 2**61 - 1, 2**89 - 1]))
+def test_a_common_factor_is_divided_out_against_fraction_oracle(rows,
+                                                                factor):
+    # factor is a prime above 1000, so prime to every denominator drawn:
+    # each entry of S M S keeps it, and the elimination runs on
+    # S M S / g with g a multiple of it
+    m = SymMatrix([[x * factor for x in row] for row in rows])
+    g = exact._eliminate(m)[2]
+    if any(any(row) for row in rows):
+        assert g % factor == 0
+    else:
+        assert g == 1
+    assert_elimination_matches_fraction_oracle(m)
+
+
+def assert_elimination_matches_fraction_oracle(m):
     L, diag, fail = fraction_eliminate(m)
-    A, scale, int_fail = exact._eliminate(m)
+    A, scale, g, int_fail = exact._eliminate(m)
     assert int_fail == fail
     verdict = psd_check(m)
     assert verdict.is_psd == (fail is None)
     if fail is None:
-        assert exact._factors(A, scale) == (L, diag)
+        assert exact._factors(A, scale, g) == (L, diag)
         assert verdict.factorization.lower == tuple(map(tuple, L))
         assert verdict.factorization.diag == tuple(diag)
         assert verdict.rank == sum(1 for d in diag if d)
@@ -316,6 +337,28 @@ def test_integer_elimination_matches_fraction_oracle(rows):
     assert verdict.witness == pullback_witness(m, L, fail)
     assert fraction_quadratic_form(m, verdict.witness) < 0
     assert spy.call_count == 0
+
+
+def low_rank_gram(digits, rank=3, n=27, seed=7):
+    """V V^T for an n x rank V of random Fractions whose numerators and
+    denominators have `digits` digits."""
+    rng = random.Random(seed)
+    lo, hi = 10**(digits - 1), 10**digits - 1
+    V = [[F(rng.choice((-1, 1)) * rng.randint(lo, hi), rng.randint(lo, hi))
+          for _ in range(rank)] for _ in range(n)]
+    return SymMatrix([[sum(a * b for a, b in zip(V[i], V[j]))
+                       for j in range(n)] for i in range(n)])
+
+
+def test_a_digit_heavy_gram_block_is_eliminated_quickly():
+    # entry denominators of about 300 digits and row lcms of about 4,000:
+    # the elimination's cost follows the gcd-reduced form, not the lcms
+    m = low_rank_gram(50)
+    start = time.process_time()
+    verdict = psd_check(m)
+    assert time.process_time() - start < 1
+    assert verdict.is_psd and verdict.rank == 3
+    assert fraction_eliminate(m)[2] is None
 
 
 @settings(max_examples=200, deadline=None)
