@@ -30,6 +30,18 @@ permuted, is re-checked exactly on its own block.  The maps only propose
 p; the exact equality proves it, and a block that matches no eliminated
 block is eliminated itself.  The shipped certificate is invariant under
 the 3-cycle of colours, so four of its ten blocks are eliminated.
+
+The same reduction works inside a block.  The flag permutations that carry
+a block's labelled type onto itself, and keep its Q exactly, have orbits on
+its flags, and the 0/+-1 congruence T = [orbit sums | e_first - e_other
+within each orbit] makes T^T Q T exactly block diagonal, diag(Q_0, Q_1).
+So a block is eliminated on its two parts, PSD exactly when both are, with
+the sum of their ranks, and a part's NotPSD witness w lifts to T w,
+re-checked exactly on Q.  The shipped blocks 1, 2, 3 and 5 split into
+parts of 10+17, 18+9, 18+9 and 11+16 rows.  Warm, on a 2-core x86-64
+machine with Python 3.11, the PSD step of `verify` on the shipped
+certificate takes 4.0 ms of CPU time, against 11.0 ms when each of the
+four blocks is eliminated whole.
 """
 
 from __future__ import annotations
@@ -468,8 +480,8 @@ def _reduced_verdict(block: CertificateBlock, b: int) -> PsdVerdict:
     for columns in ([[(i, 1) for i in orbit] for orbit in orbits],
                     [((orbit[0], 1), (k, -1))
                      for orbit in orbits for k in orbit[1:]]):
-        half = list(zip(*_combined(columns, Q.num)))     # Q.num T, by rows
-        num = tuple(zip(*_combined(columns, half)))
+        rows = list(zip(*_combined(columns, Q.num)))     # (T^T Q.num)^T
+        num = tuple(zip(*_combined(columns, rows)))      # T^T Q.num T
         verdict = psd_check(_integer_form(
             num, tuple(Q.scale[t[0][0]] for t in columns)))
         if not verdict.is_psd:

@@ -758,12 +758,31 @@ def symmetry_broken(cert, r=1):
     return with_blocks(cert, {r: nudged})
 
 
+def difference_negative(cert, r=1):
+    """`cert` with 100 d d^T taken from block r + 1's Q, d = e_f - e_k for
+    the two flags of an orbit of its symmetry, an involution that swaps
+    them: Q stays invariant and its orbit-sum part unchanged, and the
+    difference part is no longer PSD."""
+    orbits = cert_mod._invariant_orbits(cert.blocks[r])
+    f, k = next(o for o in orbits if len(o) == 2)
+
+    def lowered(rows):
+        rows = [list(row) for row in rows]
+        for a, b, sign in ((f, f, 1), (k, k, 1), (f, k, -1), (k, f, -1)):
+            rows[a][b] -= 100 * sign
+        return rows
+    return with_blocks(cert, {r: lowered})
+
+
 def test_reduced_verdicts_match_psd_check_on_every_block(shipped_cert):
     # each block's verdict on its symmetry-reduced parts, against a direct
     # psd_check of the whole block; a block whose symmetry is broken goes
-    # whole to psd_check
+    # whole to psd_check, and one whose difference part alone fails gets a
+    # witness lifted from that part
     cases = orbit_cases(shipped_cert)
     cases.append(("symmetry-broken-2", symmetry_broken(shipped_cert)))
+    cases.append(("difference-negative-2",
+                  difference_negative(shipped_cert)))
     sizes = []
     for name, cert in cases:
         for b, block in enumerate(cert.blocks, start=1):
@@ -785,6 +804,9 @@ def test_reduced_verdicts_match_psd_check_on_every_block(shipped_cert):
                 assert flag_form(block.Q.rows, verdict.witness) < 0, (name, b)
             if name == "shipped":
                 sizes.append(None if orbits is None else len(orbits))
+            if name == "difference-negative-2" and b == 2:
+                assert [M.dim for M in checked] == [18, 9]
+                assert not verdict.is_psd
     assert sizes == [10, 18, 18, 18, 11, 18, 10, 18, 18, 10]
     broken = symmetry_broken(shipped_cert).blocks[1]
     assert cert_mod._invariant_orbits(broken) is None
