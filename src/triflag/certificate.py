@@ -418,11 +418,12 @@ def _flag_maps(a: CertificateBlock, b: CertificateBlock):
                    for v in b.vectors]
 
 
-def _is_image(rows, p, source) -> bool:
-    """Whether rows[i][j] == source[p[i]][p[j]] on every entry, compared a
-    whole row at a time: a tuple comparison tries identity first, and a
-    loaded certificate shares one Fraction between equal tokens."""
-    return all(itemgetter(*p)(source[k]) == row for k, row in zip(p, rows))
+def _is_image(Q: SymMatrix, p, source: SymMatrix) -> bool:
+    """Whether Q[i][j] == source[p[i]][p[j]] on every entry, compared a
+    whole row at a time in the integer forms: rows that are equal as
+    rationals have the same row scale and so equal integer rows."""
+    return all(source.scale[k] == s and itemgetter(*p)(source.num[k]) == row
+               for k, s, row in zip(p, Q.scale, Q.num))
 
 
 def _invariant_orbits(block: CertificateBlock) -> list | None:
@@ -431,12 +432,12 @@ def _invariant_orbits(block: CertificateBlock) -> list | None:
     `_flag_maps(block, block)` that keep Q, Q[i][j] = Q[p[i]][p[j]] on every
     entry, compared a whole row at a time; None when no p but the identity
     keeps Q.  The maps only propose p; the equality test is the proof."""
-    rows = block.Q.rows
+    Q = block.Q
     label = list(range(NUM_FLAGS))        # flag -> least flag of its orbit
     for p in _flag_maps(block, block):
         # a p that keeps every flag in its orbit so far adds nothing
         if any(label[i] != label[k] for i, k in enumerate(p)) and \
-                _is_image(rows, p, rows):
+                _is_image(Q, p, Q):
             for i, k in enumerate(p):
                 a, c = sorted((label[i], label[k]))
                 if a != c:
@@ -513,11 +514,10 @@ def _psd_verdicts(blocks) -> tuple:
     `_reduced_verdict`."""
     verdicts, sources, eliminated = [], [], []
     for b, block in enumerate(blocks, start=1):
-        rows = block.Q.rows
         for r in eliminated:
             a, verdict = blocks[r], verdicts[r]
             p = next((p for p in _flag_maps(a, block)
-                      if _is_image(rows, p, a.Q.rows)), None)
+                      if _is_image(block.Q, p, a.Q)), None)
             if p is None:
                 continue
             if verdict.is_psd:       # a's pivot rows factor Q_a, not Q

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational, Real
@@ -39,9 +38,6 @@ import numpy as np
 DEFAULT_MAX_DEN = 4 * 10**6
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-# Python's default int-string digit limit, also used where the limit is off
-# or where the interpreter has none (before 3.10.7)
-_DEFAULT_DIGIT_LIMIT = 4300
 # A proposed eigenvector is scaled to this largest entry and rounded.  The
 # rounding moves v^T M v by at most n |M| / 4 + |v| sqrt(n) |lambda|, far
 # below |v|^2 |lambda| >= 2^60 |lambda| > 256 n |M| once lambda is past the
@@ -362,26 +358,19 @@ def rational_reconstruct(x, max_den: int = DEFAULT_MAX_DEN) -> Fraction:
     """Best rational approximation of x with denominator <= max_den, equal
     to `Fraction.limit_denominator(max_den)` of the exact value read.
 
-    A Fraction, int, Decimal or decimal string is read exactly, with no
-    binary floating intermediate; any other real number (numpy floats of
-    every width too) through the shortest repr of float(x), which keeps
-    the operation deterministic.  Anything else raises TypeError.  A
-    string with no "/" is read as the Decimal it denotes, and a Decimal is
-    first sized by `_decided_by_exponent`, so a far exponent never builds
-    its power of ten.
+    A float, or any other real number that is not a `Rational` (numpy
+    floats of every width too), is read as the exact value of the shortest
+    repr of float(x), which keeps the operation deterministic; a Fraction,
+    int or other `Rational` is read exactly.  Anything else, a string or
+    a Decimal too, raises TypeError.
     """
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
     if isinstance(x, float) or isinstance(x, Real) and not isinstance(
             x, Rational):
         x = Decimal(repr(float(x)))     # its exponent is within +-324
-    elif isinstance(x, Rational) or isinstance(x, str) and "/" in x:
+    elif isinstance(x, Rational):
         x = Fraction(x)
-    elif isinstance(x, (Decimal, str)):
-        if isinstance(x, str):
-            x = _as_decimal(x)
-        if _decided_by_exponent(x, max_den):
-            return Fraction(0)
     else:
         raise TypeError("not a real number: %s" % type(x).__name__)
     n, den = x.as_integer_ratio()
@@ -401,42 +390,3 @@ def rational_reconstruct(x, max_den: int = DEFAULT_MAX_DEN) -> Fraction:
         return Fraction(p1, q1)
     return Fraction(p0 + k * p1, q0 + k * q1)
 
-
-def _decided_by_exponent(x: Decimal, max_den: int) -> bool:
-    """A Decimal sized from its exponent and digit count alone: True when
-    it is zero or below 1/(2 max_den) in size, so that its best
-    approximation is 0; a ValueError when its integer ratio needs a
-    numerator of more digits than Python's int-string digit limit, since
-    reading its digits into an int is quadratic in their count; False
-    otherwise, where reading x exactly is linear in its digits and in
-    max_den's."""
-    if not x.is_finite():
-        return False                    # as_integer_ratio says why
-    _, digits, exponent = x.as_tuple()
-    if not any(digits):
-        return True
-    top = len(digits) + exponent        # 10^(top - 1) <= |x| < 10^top
-    # 10^-top <= 2^-(bits + 1) < 1 / (2 max_den) once 3 (-top) > bits
-    if -3 * top > max_den.bit_length():
-        return True
-    limit = (getattr(sys, "get_int_max_str_digits", lambda: 0)()
-             or _DEFAULT_DIGIT_LIMIT)
-    size = max(top, len(digits))        # the digits of the numerator
-    if size > limit:
-        raise ValueError("a decimal of %d digits exceeds the limit of %d"
-                         % (size, limit))
-    return False
-
-
-def _as_decimal(text: str) -> Decimal:
-    """A decimal string as the finite Decimal it denotes, read exactly, or
-    a ValueError.  Beyond the strings Fraction also refuses, Decimal
-    refuses only exponents past +-10^18, whose power of ten Fraction would
-    try to build."""
-    try:
-        x = Decimal(text)
-    except InvalidOperation:
-        x = None
-    if x is None or not x.is_finite():
-        raise ValueError("invalid literal for a decimal: %r" % text)
-    return x

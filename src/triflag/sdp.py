@@ -162,12 +162,14 @@ def parse_solution(path) -> list:
 def round_solution(blocks, max_den: int = DEFAULT_MAX_DEN) -> Certificate:
     """Round ten numeric 27x27 blocks to a rational certificate at bound 1/25.
 
-    Each entry on or above the diagonal is replaced by its best rational
+    Each entry on or above the diagonal, a float (as `parse_solution`
+    gives) or an exact rational, is replaced by its best rational
     approximation with denominator <= max_den (`rational_reconstruct`)
-    and mirrored below it; the lower triangle is not read.  Types, vectors
-    and flags are the shipped certificate's, the layout `export_sdp`
-    writes.  The result is only structurally valid; it earns a verdict
-    through the ordinary verification path.
+    and mirrored below it; the lower triangle is not read.  An entry of
+    any other type, a string or a Decimal too, is a ValueError naming it.
+    Types, vectors and flags are the shipped certificate's, the layout
+    `export_sdp` writes.  The result is only structurally valid; it earns
+    a verdict through the ordinary verification path.
     """
     if max_den < 1:
         raise ValueError("max_den must be >= 1")

@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 
 from triflag import certificate as cert_mod
+from triflag import round_solution
 from triflag.certificate import (Certificate, CertificateBlock,
                                  CertificateError, coefficient_table,
                                  lambda_vector,
@@ -660,6 +661,9 @@ def orbit_cases(cert):
         rows[j][i] = rows[i][j]
         return rows
     cases.append(("nudged-6", with_blocks(cert, {5: nudged})))
+    # the shipped values again, each entry a fresh Fraction
+    cases.append(("rounded", round_solution(
+        [[[float(x) for x in row] for row in b.Q.rows] for b in cert.blocks])))
     return cases
 
 
@@ -674,9 +678,22 @@ def test_orbit_verdicts_match_psd_check_on_every_block(shipped_cert,
             if source is not None:
                 assert source - 1 < r, name
                 assert report.psd_sources[source - 1] is None, name
-        if name in ("shipped", "permuted-0", "permuted-1", "relabelled"):
+        if name in ("shipped", "permuted-0", "permuted-1", "relabelled",
+                    "rounded"):
             assert report.psd_ok == [True] * 10
             assert sum(s is not None for s in report.psd_sources) == 6, name
+
+
+def test_an_image_needs_equal_row_scales_as_well_as_integer_rows():
+    # equal integer rows (3, 1) and (1, 3) over the row scales 3 and 6
+    Q = SymMatrix([[1, Fraction(1, 3)], [Fraction(1, 3), 1]])
+    half = SymMatrix([[Fraction(1, 2), Fraction(1, 6)],
+                      [Fraction(1, 6), Fraction(1, 2)]])
+    assert Q.num == half.num and Q.scale != half.scale
+    assert not cert_mod._is_image(Q, [0, 1], half)
+    assert cert_mod._is_image(Q, [1, 0], Q)
+    assert cert_mod._is_image(
+        Q, [0, 1], SymMatrix([[1, Fraction(2, 6)], [Fraction(2, 6), 1]]))
 
 
 def test_a_reused_not_psd_verdict_carries_a_checked_witness(shipped_cert):

@@ -592,8 +592,8 @@ def test_inexact_division_raises_typed_error(monkeypatch):
 
 def test_reconstruct_examples():
     assert rational_reconstruct(0.04, 100) == F(1, 25)
-    assert rational_reconstruct("0.333333", 10) == F(1, 3)
-    assert rational_reconstruct("0.959999", 25) == F(24, 25)
+    assert rational_reconstruct(0.333333, 10) == F(1, 3)
+    assert rational_reconstruct(0.959999, 25) == F(24, 25)
 
 
 def test_reconstruct_takes_numpy_floats_as_floats():
@@ -608,13 +608,6 @@ def test_reconstruct_takes_numpy_floats_as_floats():
         "0.10000000149011612").limit_denominator(10**9) != F(1, 10)
 
 
-def test_reconstruct_exact_decimal_has_no_binary_detour():
-    # 0.1 is not a binary float value; string input must stay exact
-    assert rational_reconstruct("0.1", 10**6) == F(1, 10)
-    assert rational_reconstruct(Decimal("0.1"), 10**6) == F(1, 10)
-    assert rational_reconstruct(Decimal("-1E-3"), 10**6) == F(-1, 1000)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
 def test_reconstruct_recovers_representable(p, q):
@@ -623,7 +616,7 @@ def test_reconstruct_recovers_representable(p, q):
 
 def test_reconstruct_rejects_bad_max_den():
     with pytest.raises(ValueError):
-        rational_reconstruct("0.5", 0)
+        rational_reconstruct(0.5, 0)
 
 
 def limit_denominator_oracle(x, max_den):
@@ -643,10 +636,8 @@ EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, -0.04, -1 / 3]
 @given(st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(EDGE_FLOATS),
-    st.fractions(max_denominator=10**15), st.integers(-10**20, 10**20),
-    st.decimals(min_value=-10**6, max_value=10**6, allow_nan=False,
-                allow_infinity=False).flatmap(
-                    lambda d: st.sampled_from([d, str(d)]))), MAX_DENS)
+    st.fractions(max_denominator=10**15), st.integers(-10**20, 10**20)),
+    MAX_DENS)
 def test_reconstruct_equals_limit_denominator(x, max_den):
     assert rational_reconstruct(x, max_den) == limit_denominator_oracle(
         x, max_den)
@@ -677,69 +668,13 @@ def test_reconstruct_breaks_ties_as_limit_denominator(case):
     got = rational_reconstruct(mid, max_den)
     assert got in (low, high)
     assert got == limit_denominator_oracle(mid, max_den)
-    assert rational_reconstruct(str(mid), max_den) == got
 
 
-@pytest.mark.parametrize("value", [None, 1j, np.complex128(1), [0.5]])
+@pytest.mark.parametrize("value", [None, 1j, np.complex128(1), [0.5], "0.5",
+                                   Decimal("0.5")])
 def test_reconstruct_rejects_what_is_not_a_real_number(value):
     with pytest.raises(TypeError, match="^not a real number: "):
         rational_reconstruct(value)
-
-
-@pytest.mark.parametrize("x, want", [
-    ("1e-999999999", F(0)), ("-3.25E-1000000000", F(0)),
-    (" 7.e-999999999 ", F(0)), ("0e-999999999", F(0)),
-    ("0.000e999999999", F(0)), (Decimal("1e-999999999"), F(0)),
-    (Decimal("-0E+999999999"), F(0)),
-    # underscores and non-ASCII digits, which Fraction reads too
-    ("1_0e-1000000000", F(0)), ("\u0661e-999999999", F(0)),
-    ("1e999999999", ValueError), ("-2.5E+1000000000", ValueError),
-    (Decimal("7E+999999999"), ValueError), ("1_0e+999999999", ValueError),
-    # more significant digits than the int-string limit
-    ("7" * 5000, ValueError), (Decimal("-1." + "3" * 5000), ValueError)],
-    ids=lambda v: "%.24s" % (v,))
-def test_reconstruct_decides_a_far_exponent_from_its_size(x, want):
-    start = time.process_time()
-    if want is ValueError:
-        with pytest.raises(ValueError, match="digits exceeds the limit"):
-            rational_reconstruct(x, 10**12)
-    else:
-        assert rational_reconstruct(x, 10**12) == want
-    assert time.process_time() - start < 1e-3
-
-
-@pytest.mark.parametrize("text", [
-    "inf", "-Infinity", "nan", "sNaN", "abc", "1e", "1.5/2",
-    # past Decimal's exponent range: Fraction would build 10^(10^19)
-    "1e9999999999999999999", "1e-9999999999999999999"])
-def test_reconstruct_refuses_a_string_that_is_not_a_finite_decimal(text):
-    with pytest.raises(ValueError):
-        rational_reconstruct(text)
-
-
-@seed(26)
-@settings(max_examples=600, deadline=None)
-@given(st.integers(-10**30, 10**30), st.integers(-60, 40),
-       st.sampled_from(["%de%d", "%dE%+d", " %d.0e%d "]), st.booleans(),
-       MAX_DENS)
-def test_reconstruct_of_exponents_equals_limit_denominator(
-        mantissa, exponent, form, as_decimal, max_den):
-    # exponents on both sides of the 1/(2 max_den) cut-off and of the
-    # values read exactly
-    x = form % (mantissa, exponent)
-    if as_decimal:
-        x = Decimal(x)
-    assert rational_reconstruct(x, max_den) == limit_denominator_oracle(
-        x, max_den)
-
-
-def test_reconstruct_sizes_an_exponent_at_the_cut_off_exactly():
-    # 10^-top against 1/(2 max_den): just inside the cut-off the value is
-    # read exactly, just outside it is 0
-    for max_den in (1, 7, 8, 10**6, 2**40, 10**30):
-        for text in ("4.9e-%d" % k for k in range(1, 40)):
-            assert rational_reconstruct(text, max_den) == \
-                limit_denominator_oracle(text, max_den)
 
 
 def reference_digits(n):
@@ -788,25 +723,3 @@ def test_format_rational_prints_across_its_switch_at_the_least_limit(x):
     finally:
         sys.set_int_max_str_digits(limit)
 
-
-@pytest.mark.parametrize("limit", ["off", "absent"])
-def test_reconstruct_reads_the_default_digit_limit_where_none_is_set(
-        limit, monkeypatch):
-    # off: set to 0; absent: as before Python 3.10.7
-    if limit == "absent":
-        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
-        saved = None
-    elif not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("no int-string digit limit before Python 3.10.7")
-    else:
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-    try:
-        with pytest.raises(ValueError, match="^a decimal of 4301 digits "
-                                             "exceeds the limit of 4300$"):
-            rational_reconstruct(Decimal("1" * 4301), 10)
-        assert rational_reconstruct(Decimal("1" * 4300), 10) == \
-            (10**4300 - 1) // 9
-    finally:
-        if saved is not None:
-            sys.set_int_max_str_digits(saved)

@@ -31,3 +31,15 @@ def test_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
     assert "INTERNALERROR" not in run.stdout + run.stderr
+
+
+def test_python_minus_o_runs_without_a_warning_flag(tmp_path):
+    # under python -O pytest warns that asserts outside test modules do not
+    # run; the repository's filters must not turn that into a stop
+    (tmp_path / "test_sample.py").write_text("def test_passes():\n    pass\n")
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_sample.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "1 passed" in run.stdout

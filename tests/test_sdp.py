@@ -332,15 +332,7 @@ def test_round_solution_takes_float32_blocks_as_float64(shipped_cert):
                 == round_solution(blocks.astype(np.float64), max_den))
 
 
-def test_round_solution_reads_decimals_exactly():
-    blocks = [[[0.0] * 27 for _ in range(27)] for _ in range(10)]
-    blocks[0][0][0], blocks[4][2][7] = Decimal("0.1"), "-0.3"
-    rounded = round_solution(blocks, max_den=10**6)
-    assert rounded.blocks[0].Q.rows[0][0] == Fraction(1, 10)
-    assert rounded.blocks[4].Q.rows[7][2] == Fraction(-3, 10)
-
-
-@pytest.mark.parametrize("value", [None, 1j, "x", [0.5]])
+@pytest.mark.parametrize("value", [None, 1j, "x", [0.5], Decimal("0.1")])
 def test_round_solution_names_the_entry_it_cannot_read(value):
     blocks = [[[0.0] * 27 for _ in range(27)] for _ in range(10)]
     blocks[2][3][5] = value
