@@ -456,9 +456,9 @@ def _combined(columns, rows) -> list:
                                  for i, sign in t)))) for t in columns]
 
 
-def _reduced_verdict(block: CertificateBlock, b: int) -> PsdVerdict:
-    """`psd_check`'s verdict on block b's Q, and its rank, taken on the two
-    parts of a congruence that the block's own symmetry makes block
+def _reduced_verdict(block: CertificateBlock) -> PsdVerdict:
+    """`psd_check`'s verdict on the block's Q, and its rank, taken on the
+    two parts of a congruence that the block's own symmetry makes block
     diagonal (Gatermann and Parrilo's reduction, done exactly).
 
     With the orbits of `_invariant_orbits`, the columns of the 0/+-1 matrix
@@ -467,12 +467,12 @@ def _reduced_verdict(block: CertificateBlock, b: int) -> PsdVerdict:
     permutations, so Q u_O is constant on every orbit and T^T Q T is
     exactly diag(Q_0, Q_1).  T is invertible, so Q is PSD exactly when
     both parts are, with rank r_0 + r_1, and a witness w of a part lifts to
-    the witness T w of Q, re-checked exactly here.  Rows of Q in one orbit
-    are permutations of each other and share their row scale s, so the
-    integer form of a part is read straight off Q's: its row for a column
-    t is the combination of Q.num's rows that t makes, over the scale s of
-    t's orbit.  A block that only the identity keeps goes whole to
-    `psd_check`."""
+    the witness T w of Q, which `_psd_verdicts` re-checks.  Rows of Q in
+    one orbit are permutations of each other and share their row scale s,
+    so the integer form of a part is read straight off Q's: its row for a
+    column t is the combination of Q.num's rows that t makes, over the
+    scale s of t's orbit.  A block that only the identity keeps goes whole
+    to `psd_check`."""
     Q = block.Q
     orbits = _invariant_orbits(block)
     if orbits is None:
@@ -490,10 +490,6 @@ def _reduced_verdict(block: CertificateBlock, b: int) -> PsdVerdict:
             for w, t in zip(verdict.witness, columns):
                 for i, sign in t:
                     witness[i] += sign * w
-            if not Q.quadratic_form(witness) < 0:
-                raise WitnessError("block %d: the lifted witness of a "
-                                   "symmetry-reduced part is not negative"
-                                   % b)
             return PsdVerdict(is_psd=False, witness=tuple(witness))
         rank += verdict.rank
     return PsdVerdict(is_psd=True, rank=rank)
@@ -504,38 +500,33 @@ def _psd_verdicts(blocks) -> tuple:
     colour orbit, and per block the 1-based index of the eliminated block
     whose verdict it took, or None where it was eliminated itself.
 
-    A block takes the verdict of an eliminated block a when some flag
-    permutation p proposed by `_flag_maps` gives Q[i][j] = Q_a[p[i]][p[j]]
-    on every entry, compared a whole row at a time: then Q = P^T Q_a P, so
-    Q is PSD exactly when Q_a is, with the same rank, and a witness v of
-    Q_a gives the witness v o p of Q, re-checked exactly here.  The maps
-    only propose p; the equality test is the proof.  A block that takes no
-    verdict is eliminated on its symmetry-reduced parts by
-    `_reduced_verdict`."""
-    verdicts, sources, eliminated = [], [], []
+    A block takes the verdict of the first eliminated block a, in order,
+    for which some flag permutation p proposed by `_flag_maps` gives
+    Q[i][j] = Q_a[p[i]][p[j]] on every entry, compared a whole row at a
+    time: then Q = P^T Q_a P, so Q is PSD exactly when Q_a is, with the
+    same rank, and a witness v of Q_a gives the witness v o p of Q.  The
+    maps only propose p; the equality test is the proof.  A block that
+    takes no verdict is eliminated on its symmetry-reduced parts by
+    `_reduced_verdict`.  Every NotPSD witness, permuted or lifted, is
+    re-checked exactly on its own block here."""
+    verdicts, sources = [], []
     for b, block in enumerate(blocks, start=1):
-        for r in eliminated:
-            a, verdict = blocks[r], verdicts[r]
-            p = next((p for p in _flag_maps(a, block)
-                      if _is_image(block.Q, p, a.Q)), None)
-            if p is None:
-                continue
-            if verdict.is_psd:       # a's pivot rows factor Q_a, not Q
-                verdict = PsdVerdict(is_psd=True, rank=verdict.rank)
-            else:
-                witness = tuple(verdict.witness[k] for k in p)
-                if not block.Q.quadratic_form(witness) < 0:
-                    raise WitnessError("block %d: the permuted witness of "
-                                       "block %d is not negative"
-                                       % (b, r + 1))
-                verdict = PsdVerdict(is_psd=False, witness=witness)
-            verdicts.append(verdict)
-            sources.append(r + 1)
-            break
+        a, p = next(((a, p) for a, s in enumerate(sources) if s is None
+                     for p in _flag_maps(blocks[a], block)
+                     if _is_image(block.Q, p, blocks[a].Q)), (None, None))
+        if a is None:
+            verdict = _reduced_verdict(block)
+        elif verdicts[a].is_psd:     # a's pivot rows factor Q_a, not Q
+            verdict = PsdVerdict(is_psd=True, rank=verdicts[a].rank)
         else:
-            eliminated.append(b - 1)
-            verdicts.append(_reduced_verdict(block, b))
-            sources.append(None)
+            verdict = PsdVerdict(is_psd=False, witness=tuple(
+                verdicts[a].witness[k] for k in p))
+        if not (verdict.is_psd or block.Q.quadratic_form(verdict.witness) < 0):
+            raise WitnessError("block %d: the %s is not negative" % (
+                b, "lifted witness of a symmetry-reduced part" if a is None
+                else "permuted witness of block %d" % (a + 1)))
+        verdicts.append(verdict)
+        sources.append(None if a is None else a + 1)
     return verdicts, sources
 
 

@@ -126,6 +126,9 @@ class ColouredGraph:
         return cls(n, k, ent)
 
     def colour(self, i: int, j: int) -> int:
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise ValueError("vertex %r is not in range(%d)"
+                             % (j if 0 <= i < self.n else i, self.n))
         if i == j:
             return 0
         if i > j:
@@ -150,7 +153,12 @@ class ColouredGraph:
         return self.induced(perm)
 
     def induced(self, vertices) -> "ColouredGraph":
+        """The graph on distinct `vertices`; its vertex a is vertices[a]."""
         vs = list(vertices)
+        for a, v in enumerate(vs):
+            self.colour(v, v)           # refuses a vertex outside range(n)
+            if v in vs[:a]:
+                raise ValueError("vertex %r is repeated" % v)
         ent = [self.colour(vs[i], vs[j])
                for i in range(len(vs)) for j in range(i + 1, len(vs))]
         return ColouredGraph(len(vs), self.k, ent)

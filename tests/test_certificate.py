@@ -806,7 +806,7 @@ def test_reduced_verdicts_match_psd_check_on_every_block(shipped_cert):
             orbits = cert_mod._invariant_orbits(block)
             with mock.patch.object(cert_mod, "psd_check",
                                    wraps=cert_mod.psd_check) as spy:
-                verdict = cert_mod._reduced_verdict(block, b)
+                verdict = cert_mod._reduced_verdict(block)
             checked = [call.args[0] for call in spy.call_args_list]
             if orbits is None:
                 assert checked == [block.Q], (name, b)
@@ -846,7 +846,7 @@ def test_the_parts_are_the_congruence_of_the_whole_block(shipped_cert):
                for c in range(k, 27))
     with mock.patch.object(cert_mod, "psd_check",
                            wraps=cert_mod.psd_check) as spy:
-        cert_mod._reduced_verdict(block, 5)
+        cert_mod._reduced_verdict(block)
     parts = [call.args[0] for call in spy.call_args_list]
     assert [M.dim for M in parts] == [k, 27 - k]
     for M, lo in zip(parts, (0, k)):

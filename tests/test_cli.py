@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -152,6 +153,27 @@ def test_cli_import_leaves_networkx_unloaded():
     proc = run_python("-c", "import sys, triflag.cli; "
                             "sys.exit('networkx' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_package_builds_nothing():
+    # every cache of the package is empty after import: nothing runs at
+    # import, so a process pays only for the work its command asks for
+    code = ("import json, sys, triflag.cli\n"
+            "print(json.dumps({'%s.%s' % (name, attr): f.cache_info().currsize\n"
+            "    for name, module in list(sys.modules.items())\n"
+            "    if name.startswith('triflag.')\n"
+            "    for attr, f in vars(module).items()\n"
+            "    if hasattr(f, 'cache_info') and f.__module__ == name}))\n")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    sizes = json.loads(proc.stdout)
+    known = {"triflag.graphs." + name for name in (
+        "_pair_table", "_relabelling_index", "_model_keys", "_class_table")}
+    known |= {"triflag.certificate." + name for name in (
+        "load_shipped_certificate", "model_data", "_type_images",
+        "_gex_model_keys")}
+    assert known <= sizes.keys()
+    assert {name: size for name, size in sizes.items() if size} == {}
 
 
 def test_extremal_and_count_and_check(tmp_path, capsys):

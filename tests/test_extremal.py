@@ -94,13 +94,41 @@ def test_second_family_member():
 
 
 def test_non_matching_recolouring_is_rejected():
-    g = build_gex(11)
-    rows = [list(r) for r in g.matrix()]
-    for u, v in [(0, 3), (1, 3)]:     # two edges meeting at vertex 3
-        rows[u][v] = rows[v][u] = 1
-    g3 = ColouredGraph.from_matrix(rows)
-    assert mono_triangles(g3)["total"] != corollary_value(11)
-    assert not is_member_gn(g3)[0]
+    # two red edges from one vertex into a class close a red cross
+    # triangle with that class's own red edge: at n = 11 from vertex 3
+    # into the class [0, 1, 2], at n = 15 from vertex 0 into [3, 4, 5]
+    for n, edges in [(11, [(0, 3), (1, 3)]), (15, [(0, 3), (0, 4)])]:
+        rows = [list(r) for r in build_gex(n).matrix()]
+        for u, v in edges:
+            assert rows[u][v] != 1
+            rows[u][v] = rows[v][u] = 1
+        g3 = ColouredGraph.from_matrix(rows)
+        assert mono_triangles(g3)["total"] != corollary_value(n)
+        assert not is_member_gn(g3)[0]
+
+
+def test_members_of_recoloured_constructions_have_matchings():
+    # the cross c-edges of a member form matchings, though no check but
+    # the triangle count refuses two c-edges from one vertex into a class
+    rng = random.Random(32)
+    members = wide = 0          # wide: some class pair has two c-edges
+    for n in range(5, 23):
+        rows = build_gex(n).matrix()
+        cross = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rows[u][v] != 1]
+        for _ in range(12):
+            recoloured = [list(row) for row in rows]
+            for u, v in rng.sample(cross, rng.randint(1, 6)):
+                recoloured[u][v] = recoloured[v][u] = 1
+            member, witness = is_member_gn(
+                ColouredGraph.from_matrix(recoloured))
+            if member:
+                members += 1
+                for edges in witness.matchings.values():
+                    ends = [x for e in edges for x in e]
+                    assert len(ends) == len(set(ends)), (n, edges)
+                wide += any(len(e) > 1 for e in witness.matchings.values())
+    assert members > 100 and wide > 10
 
 
 def test_membership_is_colour_permutation_invariant():

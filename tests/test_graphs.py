@@ -148,6 +148,20 @@ def test_relabel_refuses_a_non_permutation():
             G.relabel(perm)
 
 
+def test_colour_and_induced_refuse_vertices_the_graph_lacks():
+    G = ColouredGraph(4, 3, (1, 2, 3, 1, 2, 3))
+    with pytest.raises(ValueError, match=r"^vertex 5 is not in range\(4\)$"):
+        G.colour(0, 5)
+    with pytest.raises(ValueError, match=r"^vertex -1 is not in range\(4\)$"):
+        G.colour(-1, 2)
+    with pytest.raises(ValueError, match=r"^vertex 4 is not in range\(4\)$"):
+        G.induced([0, 4])
+    with pytest.raises(ValueError, match="^vertex 1 is repeated$"):
+        G.induced([1, 1, 2])
+    assert G.colour(3, 0) == G.colour(0, 3) == 3
+    assert G.induced([2, 0]) == ColouredGraph(2, 3, (2,))
+
+
 def test_all_red_triangle_key_is_labelling_invariant():
     keys = {canonical_key(mono_kn(3, 1).relabel(p))
             for p in [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)]}

@@ -1,7 +1,7 @@
 """No module of the package keeps code that nothing uses: no import that
-its module never reads (the re-exports of `__init__.py` aside), and no
+its module never reads (the re-exports of `__init__.py` aside), no
 private module-level function, class or constant that nothing in the
-package refers to."""
+package refers to, and no parameter that its function never reads."""
 
 import ast
 from pathlib import Path
@@ -80,3 +80,28 @@ def test_every_private_name_is_referenced():
                        for other in trees.values()):
                 unreferenced.append("%s:%d %s" % (module, node.lineno, name))
     assert unreferenced == []
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is an option that does
+    # nothing; dunder methods keep the signature their protocol fixes
+    unread = []
+    for module, tree in parsed().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                name, body = node.name, node.body
+            elif isinstance(node, ast.Lambda):
+                name, body = "lambda", [node.body]
+            else:
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg) if a is not None]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += ["%s:%d %s(%s)" % (module, node.lineno, name, p)
+                       for p in params if p not in read]
+    assert unread == []
